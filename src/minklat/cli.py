@@ -21,9 +21,9 @@ from .constants import UNIVERSAL_M_FLOOR
 from .intpoly import (
     IntPolynomial,
     even_spread,
-    is_irreducible,
     multinacci,
     multinacci_cofactor,
+    parse_polynomial,
     root_power,
     truncated_geom,
 )
@@ -46,53 +46,28 @@ from .roots import (
     pisot_check,
 )
 from .search import enumerate_m_lt_one
-from .verify import check_cubic2, run_suite
-
-_TERM = re.compile(
-    r"(?P<sign>[+-]?)\s*(?P<coeff>\d+)?\s*(?:(?P<x>x)(?:\^(?P<power>\d+))?)?"
-)
+from .verify import check_cubic2, check_kiy, run_suite
 
 
 def _parse_polynomial(text: str) -> IntPolynomial:
     """Accept either an expression like ``x^3-x-1`` or a coefficient list
-    like ``1,0,-1,-1`` (leading coefficient first).
+    like ``1,0,-1,-1`` or ``1 0 -1 -1`` (leading coefficient first).
     """
     raw = text.strip()
     if not raw:
         raise click.UsageError("empty polynomial")
-    if "x" not in raw:
-        parts = [p for p in re.split(r"[,\s]+", raw) if p]
+    if "x" in raw:
         try:
-            desc = [int(p) for p in parts]
-        except ValueError:
-            raise click.UsageError(f"cannot parse coefficient list: {text!r}")
-        if not desc or desc[0] == 0:
-            raise click.UsageError("leading coefficient must be nonzero")
-        return IntPolynomial(tuple(reversed(desc)))
-    coeffs: dict = {}
-    pos = 0
-    compact = raw.replace(" ", "")
-    while pos < len(compact):
-        match = _TERM.match(compact, pos)
-        if not match or match.end() == pos:
-            raise click.UsageError(f"cannot parse polynomial near {compact[pos:]!r}")
-        sign = -1 if match.group("sign") == "-" else 1
-        coeff_txt = match.group("coeff")
-        if match.group("x"):
-            power = int(match.group("power") or 1)
-            coeff = sign * int(coeff_txt or 1)
-        else:
-            if coeff_txt is None:
-                raise click.UsageError(f"cannot parse polynomial near {compact[pos:]!r}")
-            power = 0
-            coeff = sign * int(coeff_txt)
-        coeffs[power] = coeffs.get(power, 0) + coeff
-        pos = match.end()
-    degree = max(coeffs)
-    vec = tuple(coeffs.get(i, 0) for i in range(degree + 1))
-    if vec[-1] == 0:
+            return parse_polynomial(raw)
+        except ValueError as exc:
+            raise click.UsageError(str(exc))
+    try:
+        desc = [int(p) for p in re.split(r"\s*,\s*|\s+", raw)]
+    except ValueError:
+        raise click.UsageError(f"cannot parse coefficient list: {text!r}")
+    if desc[0] == 0:
         raise click.UsageError("leading coefficient must be nonzero")
-    return IntPolynomial(vec)
+    return IntPolynomial(tuple(reversed(desc)))
 
 
 def _parse_signature(text: Optional[str]) -> Optional[Tuple[int, int]]:
@@ -383,15 +358,13 @@ def family(kind: str, n: int, fmt: str, precision: int) -> None:
             }
         elif kind == "even-spread":
             p = even_spread(n)
-            prof = size_profile(find_roots(p))
-            certified = p.degree <= 12
+            rec = check_kiy((n - 2) // 4)
+            s, t = rec.parameters["signature"]
             checks = {
-                "signature": f"({prof.s},{prof.t})",
-                "square_size": f"{prof.abs_square_size:.{d}f}",
-                "m": f"{prof.m:.{d}f}",
-                "irreducibility": (
-                    "certified" if certified and is_irreducible(p) else "assumed"
-                ),
+                "signature": f"({s},{t})",
+                "square_size": f"{rec.observed:.{d}f}",
+                "m": f"{rec.parameters['m_observed']:.{d}f}",
+                "irreducibility": rec.parameters["irreducibility"],
             }
         else:
             p = root_power(n)

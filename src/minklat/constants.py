@@ -6,6 +6,8 @@ import math
 
 import mpmath
 
+from .intpoly import _horner_with_derivative
+
 
 def _newton_real_root(coeffs, x0, iterations=80):
     """Real root of a polynomial (constant term first) by Newton from x0.
@@ -15,11 +17,7 @@ def _newton_real_root(coeffs, x0, iterations=80):
     """
     x = x0
     for _ in range(iterations):
-        p = 0.0
-        dp = 0.0
-        for c in reversed(coeffs):
-            dp = dp * x + p
-            p = p * x + c
+        p, dp = _horner_with_derivative(coeffs, x)
         step = p / dp
         x -= step
         if abs(step) <= 1e-17 * (1.0 + abs(x)):

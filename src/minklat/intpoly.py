@@ -17,6 +17,30 @@ import mpmath
 Exact = Union[int, Fraction]
 
 
+# -- Horner evaluation ------------------------------------------------------------
+
+def _horner(coeffs: Sequence, x):
+    """p(x) for coefficients given constant term first.
+
+    Generic over any x that multiplies and adds with the coefficients: int,
+    Fraction, float, complex, numpy arrays and mpmath numbers. The
+    accumulator starts at the integer 0, so int and Fraction input stays exact.
+    """
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _horner_with_derivative(coeffs: Sequence, x):
+    """(p(x), p'(x)) in one pass, as generic as _horner."""
+    p = dp = 0
+    for c in reversed(coeffs):
+        dp = dp * x + p
+        p = p * x + c
+    return p, dp
+
+
 class IntPolynomial:
     """Immutable integer polynomial; ``coefficients[i]`` multiplies x^i."""
 
@@ -113,10 +137,7 @@ class IntPolynomial:
         """Horner evaluation; exact for int/Fraction input, float/complex otherwise."""
         if self.is_zero:
             return 0 if isinstance(x, (int, Fraction)) else 0.0
-        acc = 0 if isinstance(x, (int, Fraction)) else type(x)(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+        return _horner(self.coefficients, x)
 
     def __call__(self, x):
         return self.evaluate(x)
@@ -170,19 +191,26 @@ class IntPolynomial:
         return ",".join(str(c) for c in self.coefficients)
 
 
+# One term of an expression: an optional sign, then a coefficient, x, or a
+# coefficient times x, with an optional power written ^ or **. Whitespace may
+# sit between these tokens, never inside a number.
 _TERM_RE = re.compile(
     r"""(?P<sign>[+-]?)\s*
         (?:
-            (?P<coef>\d+)\s*\*?\s*(?P<var1>x)(?:\^(?P<exp1>\d+))?
-          | (?P<var2>x)(?:\^(?P<exp2>\d+))?
-          | (?P<const>\d+)
+            (?P<coef>\d+)(?:\s*\*?\s*(?P<var1>x)(?:\s*(?:\^|\*\*)\s*(?P<exp1>\d+))?)?
+          | (?P<var2>x)(?:\s*(?:\^|\*\*)\s*(?P<exp2>\d+))?
         )\s*""",
     re.VERBOSE,
 )
 
 
 def parse_polynomial(text: str) -> IntPolynomial:
-    """Parse either a comma list (constant first) or a human form like x^3-x-1."""
+    """Parse either a comma list (constant first) or a human form like x^3-x-1.
+
+    In the human form every term after the first starts with + or -, so
+    juxtaposed terms such as ``1 2x`` or ``x2`` are rejected, and so is a
+    written leading term whose coefficients sum to zero (``x-x+1``).
+    """
     s = text.strip()
     if not s:
         raise ValueError("empty polynomial text")
@@ -193,29 +221,22 @@ def parse_polynomial(text: str) -> IntPolynomial:
             raise ValueError(f"bad coefficient list: {text!r}") from exc
     coeffs: dict[int, int] = {}
     pos = 0
-    s = s.replace("**", "^")
     while pos < len(s):
         m = _TERM_RE.match(s, pos)
-        if not m or m.end() == pos:
+        if not m or m.end() == pos or (pos and not m.group("sign")):
             raise ValueError(f"cannot parse polynomial near {s[pos:]!r}")
         sign = -1 if m.group("sign") == "-" else 1
-        if m.group("const") is not None:
-            deg, mag = 0, int(m.group("const"))
-        elif m.group("var1") is not None:
-            deg = int(m.group("exp1") or 1)
-            mag = int(m.group("coef"))
+        if m.group("var1") is not None:
+            deg, mag = int(m.group("exp1") or 1), int(m.group("coef"))
+        elif m.group("coef") is not None:
+            deg, mag = 0, int(m.group("coef"))
         else:
-            deg = int(m.group("exp2") or 1)
-            mag = 1
+            deg, mag = int(m.group("exp2") or 1), 1
         coeffs[deg] = coeffs.get(deg, 0) + sign * mag
         pos = m.end()
-    out = [0] * (max(coeffs) + 1)
-    for deg, c in coeffs.items():
-        out[deg] = c
-    p = IntPolynomial(out)
-    if p.is_zero:
-        raise ValueError(f"zero polynomial: {text!r}")
-    return p
+    if coeffs[max(coeffs)] == 0:
+        raise ValueError(f"leading coefficient must be nonzero: {text!r}")
+    return IntPolynomial(coeffs.get(i, 0) for i in range(max(coeffs) + 1))
 
 
 # -- exact division ---------------------------------------------------------
@@ -349,9 +370,7 @@ def _sign_at(coeffs: Sequence[int], x: Optional[Fraction], side: int) -> int:
         if side < 0 and deg % 2 == 1:
             s = -s
         return s
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
+    acc = _horner(coeffs, x)
     return (acc > 0) - (acc < 0)
 
 
@@ -605,6 +624,20 @@ def is_irreducible(p: IntPolynomial, return_witness: bool = False):
     if mapped.leading_coefficient < 0:
         mapped = -mapped
     return result(False, mapped)
+
+
+def is_totally_real_irreducible(p: IntPolynomial) -> bool:
+    """True iff p is irreducible over Q and every root of p is real.
+
+    The exact Sturm count decides first, since it is cheap and rejects most
+    candidates; a polynomial that is not squarefree is reducible.
+    """
+    try:
+        if sturm_real_count(p) != p.degree:
+            return False
+    except ValueError:
+        return False
+    return is_irreducible(p)
 
 
 def _find_factor(work: IntPolynomial, roots, n: int) -> Optional[IntPolynomial]:

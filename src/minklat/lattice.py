@@ -207,20 +207,17 @@ def _lll(basis: np.ndarray, delta: float = LLL_DELTA):
     return b, tuple(tuple(row) for row in u)
 
 
-def _apply_transform_exact(
-    transform: Sequence[Sequence[int]],
-    rows_q: Sequence[Sequence[Fraction]],
-) -> Tuple[Tuple[Fraction, ...], ...]:
-    n = len(rows_q)
-    out = []
-    for trow in transform:
-        acc = [Fraction(0)] * n
-        for coef, row in zip(trow, rows_q):
-            if coef:
-                for idx in range(n):
-                    acc[idx] += coef * row[idx]
-        out.append(tuple(acc))
-    return tuple(out)
+def _combine_rows(
+    coeffs: Sequence[int], rows: Sequence[Sequence[Union[int, Fraction]]]
+) -> Tuple[Union[int, Fraction], ...]:
+    """sum_i coeffs[i] * rows[i], exactly: int rows give ints, Fraction rows
+    give Fractions (coeffs must not be all zero)."""
+    acc = [0] * len(rows[0])
+    for coef, row in zip(coeffs, rows):
+        if coef:
+            for idx, x in enumerate(row):
+                acc[idx] += coef * x
+    return tuple(acc)
 
 
 def lll_reduce(lat: EmbeddedLattice) -> EmbeddedLattice:
@@ -240,24 +237,12 @@ def lll_reduce(lat: EmbeddedLattice) -> EmbeddedLattice:
         basis_matrix=reduced,
         gram=gram,
         order_disc=lat.order_disc,
-        basis_over_power=_apply_transform_exact(u, lat.basis_over_power),
+        basis_over_power=tuple(_combine_rows(row, lat.basis_over_power) for row in u),
         transform=u,
     )
 
 
 # -- minimizer bookkeeping ----------------------------------------------------------
-
-def _element_power_coords(
-    lat: EmbeddedLattice, coords: Sequence[int]
-) -> Tuple[Fraction, ...]:
-    n = lat.dimension
-    acc = [Fraction(0)] * n
-    for c, row in zip(coords, lat.basis_over_power):
-        if c:
-            for idx in range(n):
-                acc[idx] += c * row[idx]
-    return tuple(acc)
-
 
 def _multiply_mod(
     vec: Sequence[Fraction], beta: Sequence[Fraction], p: IntPolynomial
@@ -330,13 +315,15 @@ def _canonical_sign(v: Tuple[int, ...]) -> Tuple[int, ...]:
     return v
 
 
-def _quadratic_form(gram: np.ndarray, v: Sequence[int]) -> float:
-    arr = np.array(v, dtype=float)
-    return float(arr @ gram @ arr)
+def _squared_length(basis: np.ndarray, v: Sequence[int]) -> float:
+    # |v B|^2 from the embedded vector itself: v^T G v on the Gram matrix of
+    # an ill-conditioned basis can lose every digit to cancellation
+    vec = np.array(v, dtype=float) @ basis
+    return float(vec @ vec)
 
 
 def _pick_minimizer(
-    gram: np.ndarray, candidates: Sequence[Tuple[int, ...]]
+    basis: np.ndarray, candidates: Sequence[Tuple[int, ...]]
 ) -> Tuple[Tuple[int, ...], float]:
     """Shortest candidate; ties resolved to the lexicographically smallest
     sign-normalized coordinate vector.
@@ -344,7 +331,7 @@ def _pick_minimizer(
     best = None
     best_len = math.inf
     for v in candidates:
-        val = _quadratic_form(gram, v)
+        val = _squared_length(basis, v)
         if val < best_len - 1e-9:
             best, best_len = _canonical_sign(v), val
         elif abs(val - best_len) <= 1e-9:
@@ -353,14 +340,14 @@ def _pick_minimizer(
                 best = cand
     if best is None:
         raise RuntimeError("radius search empty")
-    return best, _quadratic_form(gram, best)
+    return best, _squared_length(basis, best)
 
 
 def _result_from_coords(
     lat: EmbeddedLattice, coords: Tuple[int, ...], sq_len: float, method: str
 ) -> ShortestVectorResult:
     s, t = lat.signature
-    power = _element_power_coords(lat, coords)
+    power = _combine_rows(coords, lat.basis_over_power)
     degree, minpoly = _minimal_polynomial(power, lat.conjugates.polynomial)
     element = tuple(int(c) if c.denominator == 1 else c for c in power)
     return ShortestVectorResult(
@@ -427,14 +414,8 @@ def shortest_vector(lat: EmbeddedLattice) -> ShortestVectorResult:
     # map back to the caller's basis before the tie-break so the canonical
     # choice is over original coordinates
     assert reduced.transform is not None
-    mapped = []
-    for v in raw:
-        coords = tuple(
-            sum(v[i] * reduced.transform[i][j] for i in range(lat.dimension))
-            for j in range(lat.dimension)
-        )
-        mapped.append(coords)
-    coords, sq_len = _pick_minimizer(lat.gram, mapped)
+    mapped = [_combine_rows(v, reduced.transform) for v in raw]
+    coords, sq_len = _pick_minimizer(lat.basis_matrix, mapped)
     result = _result_from_coords(lat, coords, sq_len, "enumeration")
     if result.m_value > 1.0 + 1e-9:
         raise RuntimeError("minimum exceeds the psi(1) witness; internal error")
@@ -473,7 +454,6 @@ def brute_force_shortest(
         if split < n
         else np.zeros((1, 0), dtype=np.int64)
     )
-    gram = lat.gram
     best_val = math.inf
     best_list: List[Tuple[int, ...]] = []
 
@@ -483,7 +463,8 @@ def brute_force_shortest(
         if split:
             pts[:, :split] = np.array(head, dtype=np.int64)
         pts[:, split:] = inner
-        vals = np.einsum("ij,jk,ik->i", pts.astype(float), gram, pts.astype(float))
+        emb = pts.astype(float) @ lat.basis_matrix
+        vals = np.einsum("ij,ij->i", emb, emb)
         nonzero = np.any(pts != 0, axis=1)
         ok = nonzero & (vals <= radius_sq + 1e-9)
         if not np.any(ok):
@@ -498,5 +479,5 @@ def brute_force_shortest(
         best_list.extend(tuple(int(c) for c in row) for row in sel_pts[keep])
     if not best_list:
         raise RuntimeError("radius search empty")
-    coords, sq_len = _pick_minimizer(lat.gram, best_list)
+    coords, sq_len = _pick_minimizer(lat.basis_matrix, best_list)
     return _result_from_coords(lat, coords, sq_len, "brute_force")

@@ -18,7 +18,13 @@ import mpmath
 import numpy as np
 
 from .constants import ERDOS_TURAN_DEFAULT
-from .intpoly import IntPolynomial, multinacci, sturm_real_count
+from .intpoly import (
+    IntPolynomial,
+    _horner,
+    _horner_with_derivative,
+    multinacci,
+    sturm_real_count,
+)
 
 MAX_ABERTH_ITERATIONS = 600
 RESIDUAL_FACTOR = 1e-10
@@ -81,16 +87,6 @@ class ConjugateSet:
         }
 
 
-def _horner_many(coeffs: Sequence[float], z: np.ndarray):
-    """Evaluate p and p' at every z (coeffs constant term first)."""
-    p = np.zeros_like(z)
-    dp = np.zeros_like(z)
-    for c in reversed(coeffs):
-        dp = dp * z + p
-        p = p * z + c
-    return p, dp
-
-
 def _aberth(coeffs: Sequence[int]) -> np.ndarray:
     """All roots of the polynomial by Aberth-Ehrlich iteration.
 
@@ -107,7 +103,7 @@ def _aberth(coeffs: Sequence[int]) -> np.ndarray:
     z = radii * np.exp(1j * angles)
     cf = [float(c) for c in coeffs]
     for _ in range(MAX_ABERTH_ITERATIONS):
-        p, dp = _horner_many(cf, z)
+        p, dp = _horner_with_derivative(cf, z)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = p / dp
             diff = z[:, None] - z[None, :]
@@ -129,11 +125,7 @@ def _polish(coeffs: Sequence[int], roots: np.ndarray) -> np.ndarray:
         for z0 in roots:
             z = mpmath.mpc(complex(z0))
             for _ in range(4):
-                p = mpmath.mpc(0)
-                dp = mpmath.mpc(0)
-                for c in reversed(cs):
-                    dp = dp * z + p
-                    p = p * z + c
+                p, dp = _horner_with_derivative(cs, z)
                 if dp == 0:
                     break
                 step = p / dp
@@ -149,7 +141,7 @@ def _log_residual_ok(coeffs: Sequence[int], roots: np.ndarray) -> Tuple[bool, fl
     n = len(coeffs) - 1
     l1 = float(sum(abs(c) for c in coeffs))
     cf = [float(c) for c in coeffs]
-    p, _ = _horner_many(cf, np.asarray(roots, dtype=complex))
+    p = _horner(cf, np.asarray(roots, dtype=complex))
     absp = np.abs(p)
     with np.errstate(divide="ignore"):
         lhs = np.log(absp)

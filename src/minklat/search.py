@@ -28,12 +28,13 @@ import math
 import multiprocessing
 import time
 from dataclasses import dataclass
+from itertools import product
 from math import comb, isqrt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .intpoly import IntPolynomial, is_irreducible, sturm_real_count
+from .intpoly import IntPolynomial, is_irreducible, is_totally_real_irreducible
 from .measures import m_lower_bound_signature, size_profile
 from .roots import SignatureError, find_roots
 
@@ -150,21 +151,8 @@ def _walk_raw(
 ) -> List[Tuple[int, ...]]:
     """Full coefficient box, no prunes beyond the box itself."""
     bounds = coefficient_bounds(n, s_plus_t)
-    out: List[Tuple[int, ...]] = []
-
-    def rec(k: int, prefix: Tuple[int, ...]):
-        if k == n:
-            out.append(prefix)
-            return
-        b = bounds[k]
-        for ak in range(-b, b + 1):
-            rec(k + 1, prefix + (ak,))
-
-    for a1 in a1_values:
-        if abs(a1) > bounds[0]:
-            continue
-        rec(1, (a1,))
-    return out
+    a1_in_box = [a1 for a1 in a1_values if abs(a1) <= bounds[0]]
+    return list(product(a1_in_box, *(range(-b, b + 1) for b in bounds[1:])))
 
 
 # -- eigenvalue prescreen -------------------------------------------------------------
@@ -441,21 +429,9 @@ def subelement_scan(
     box = [_strict_below(comb(degree, i), int(bound_sq), i) for i in range(1, degree + 1)]
     w_desc = sorted(weights, reverse=True)
     violators: List[IntPolynomial] = []
-
-    def all_coeffs(k: int, prefix: Tuple[int, ...]):
-        if k == degree:
-            yield prefix
-            return
-        for ak in range(-box[k], box[k] + 1):
-            yield from all_coeffs(k + 1, prefix + (ak,))
-
-    for coeffs in all_coeffs(0, ()):
+    for coeffs in product(*(range(-b, b + 1) for b in box)):
         poly = _to_polynomial(coeffs, degree)
-        # irreducibility first: it is cheap at degree <= 3 and guarantees the
-        # squarefreeness the Sturm count needs
-        if not is_irreducible(poly):
-            continue
-        if sturm_real_count(poly) != degree:
+        if not is_totally_real_irreducible(poly):
             continue
         roots = find_roots(poly)
         squares = sorted(r * r for r in roots.real_roots)

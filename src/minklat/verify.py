@@ -14,10 +14,9 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import product
 from math import comb, isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .constants import (
     ERDOS_TURAN_CLASSICAL,
@@ -29,9 +28,9 @@ from .intpoly import (
     IntPolynomial,
     even_spread,
     is_irreducible,
+    is_totally_real_irreducible,
     multinacci_cofactor,
     root_power,
-    sturm_real_count,
     truncated_geom,
 )
 from .measures import (
@@ -42,7 +41,12 @@ from .measures import (
     size_profile,
 )
 from .roots import InconclusiveError, erdos_turan_check, find_roots
-from .search import SearchReport, coefficient_bounds, enumerate_m_lt_one
+from .search import (
+    SearchReport,
+    _to_polynomial,
+    coefficient_bounds,
+    enumerate_m_lt_one,
+)
 
 LOG2 = math.log(2.0)
 
@@ -522,19 +526,9 @@ def _totally_real_candidates(n: int) -> List[Tuple[int, ...]]:
     # polynomial with small trace form is lost.
     outer = coefficient_bounds(n, n)
     found: List[Tuple[int, ...]] = []
-
-    def extend(prefix: List[int], idx: int, caps: List[int]) -> None:
-        if idx > n:
-            found.append(tuple(prefix))
-            return
-        cap = caps[idx - 1]
-        for v in range(-cap, cap + 1):
-            if idx == n and v == 0:
-                continue
-            extend(prefix + [v], idx + 1, caps)
-
     for p2 in range(n, (3 * n) // 2 + 1):
         caps = [min(outer[k - 1], _maclaurin_cap(n, k, p2)) for k in range(1, n + 1)]
+        tails = list(product(*(range(-cap, cap + 1) for cap in caps[2:])))
         a1_cap = min(caps[0], isqrt(n * p2))
         for a1 in range(-a1_cap, a1_cap + 1):
             if (a1 * a1 - p2) % 2:
@@ -542,24 +536,9 @@ def _totally_real_candidates(n: int) -> List[Tuple[int, ...]]:
             a2 = (a1 * a1 - p2) // 2
             if abs(a2) > caps[1]:
                 continue
-            if n == 2:
-                if a2 != 0:
-                    found.append((a1, a2))
-                continue
-            extend([a1, a2], 3, caps)
+            # the constant term a_n is nonzero
+            found.extend(c for c in ((a1, a2) + tail for tail in tails) if c[-1])
     return sorted(set(found))
-
-
-def _clearly_not_real(cands: List[Tuple[int, ...]], n: int) -> np.ndarray:
-    # companion-eigenvalue prescreen; boxes this small keep the eigensolver
-    # far below the 1e-3 cut, so only unambiguous candidates are dropped
-    arr = np.array(cands, dtype=np.float64)
-    comp = np.zeros((len(cands), n, n))
-    comp[:, 1:, :-1] = np.repeat(np.eye(n - 1)[None, :, :], len(cands), axis=0)
-    for i in range(n):
-        comp[:, i, -1] = -arr[:, n - 1 - i]
-    eig = np.linalg.eigvals(comp)
-    return np.abs(eig.imag).max(axis=1) >= 1e-3
 
 
 def check_smyth(max_degree: int = 5) -> CheckRecord:
@@ -576,15 +555,9 @@ def check_smyth(max_degree: int = 5) -> CheckRecord:
     for n in range(2, max_degree + 1):
         cands = _totally_real_candidates(n)
         scanned += len(cands)
-        drop = _clearly_not_real(cands, n)
-        for idx, coeffs in enumerate(cands):
-            if drop[idx]:
-                continue
-            poly = IntPolynomial(tuple(reversed(coeffs)) + (1,))
-            # irreducibility first: it guarantees squarefree input for Sturm
-            if not is_irreducible(poly):
-                continue
-            if sturm_real_count(poly) != n:
+        for coeffs in cands:
+            poly = _to_polynomial(coeffs, n)
+            if not is_totally_real_irreducible(poly):
                 continue
             p2 = coeffs[0] * coeffs[0] - 2 * coeffs[1]
             if 2 * p2 < 3 * n:

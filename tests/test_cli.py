@@ -6,10 +6,13 @@ parsing, formatting, exit codes, and determinism.
 """
 import json
 
+import click
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, strategies as st
 
-from minklat.cli import main
+from minklat.cli import _parse_polynomial, main
+from minklat.intpoly import IntPolynomial
 from minklat.lattice import ORDER_CAVEAT
 from minklat.measures import LINEAR_DISJOINTNESS_CAVEAT
 
@@ -93,6 +96,37 @@ def test_analyze_parse_error_is_usage_error(runner):
     result = runner.invoke(main, ["analyze", "x^2++"])
     assert result.exit_code == 2
     assert "cannot parse polynomial" in result.output
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1 2x", "x2", "x x", "x^1 0", "x^2-x^2+1", "0x^2+x-1", "x-x", "3,,4", ",3", "1 0,,2"],
+)
+def test_analyze_rejected_polynomials_exit_2(runner, text):
+    result = runner.invoke(main, ["analyze", text])
+    assert result.exit_code == 2
+
+
+def test_parser_whitespace_rule():
+    # one grammar with the library: whitespace between tokens, never inside
+    # a number; lists without x stay leading-first
+    assert _parse_polynomial("x ^ 2 - 2") == IntPolynomial((-2, 0, 1))
+    assert _parse_polynomial("x^10 - 2 x^5 + 1") == IntPolynomial(
+        (1, 0, 0, 0, 0, -2, 0, 0, 0, 0, 1)
+    )
+    assert _parse_polynomial("2*x**2 - 1") == IntPolynomial((-1, 0, 2))
+    assert _parse_polynomial("1 0 -2") == IntPolynomial((-2, 0, 1))
+    assert _parse_polynomial("2 3") == IntPolynomial((3, 2))
+    assert _parse_polynomial("1, 0 ,-2") == IntPolynomial((-2, 0, 1))
+    with pytest.raises(click.UsageError, match="cannot parse polynomial near"):
+        _parse_polynomial("1 2x")
+
+
+@given(st.lists(st.integers(-5, 5), min_size=1, max_size=9).filter(lambda c: c[-1]))
+def test_parser_reads_text_and_leading_first_list(coeffs):
+    p = IntPolynomial(coeffs)
+    assert _parse_polynomial(p.to_text()) == p
+    assert _parse_polynomial(",".join(str(c) for c in reversed(coeffs))) == p
 
 
 def test_analyze_bad_signature_is_usage_error(runner):
@@ -234,6 +268,53 @@ def test_family_root_power_assumed(runner):
     payload = json.loads(result.output)
     assert payload["checks"]["m_below_one"] is True
     assert payload["checks"]["irreducibility"] == "assumed"
+
+
+# values as printed before the even-spread report came from check_kiy
+EVEN_SPREAD_REPORTS = {
+    6: ("x^6+x^4+x^2-1", "(2,2)", "3.799784157", "0.949946039", "certified"),
+    10: ("x^10+x^8+x^6+x^4+x^2-1", "(2,4)", "5.756037943", "0.959339657", "certified"),
+    14: (
+        "x^14+x^12+x^10+x^8+x^6+x^4+x^2-1",
+        "(2,6)",
+        "7.737613762",
+        "0.967201720",
+        "assumed",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(EVEN_SPREAD_REPORTS))
+def test_family_even_spread_reports(runner, n):
+    poly, *values = EVEN_SPREAD_REPORTS[n]
+    keys = ["signature", "square_size", "m", "irreducibility"]
+    csv = runner.invoke(main, ["family", "even-spread", str(n), "--format", "csv"])
+    assert csv.exit_code == 0
+    assert csv.output.splitlines() == [
+        "kind,n,polynomial," + ",".join(keys),
+        ",".join(["even-spread", str(n), poly] + values),
+    ]
+    text = runner.invoke(main, ["family", "even-spread", str(n)])
+    assert text.exit_code == 0
+    assert text.output.splitlines() == [
+        "kind        even-spread",
+        f"n           {n}",
+        f"polynomial  {poly}",
+    ] + [f"{key:<18} {value}" for key, value in zip(keys, values)]
+    as_json = runner.invoke(main, ["family", "even-spread", str(n), "--format", "json"])
+    assert json.loads(as_json.output) == {
+        "kind": "even-spread",
+        "n": n,
+        "polynomial": poly,
+        "checks": dict(zip(keys, values)),
+    }
+
+
+def test_family_even_spread_needs_k_at_least_one(runner):
+    # x^2-1 is reducible; it used to be reported with irreducibility "assumed"
+    result = runner.invoke(main, ["family", "even-spread", "2"])
+    assert result.exit_code == 1
+    assert "need k >= 1" in result.output
 
 
 def test_family_invalid_parameter_exits_1(runner):

@@ -14,6 +14,7 @@ from minklat.intpoly import (
     divmod_exact,
     even_spread,
     is_irreducible,
+    is_totally_real_irreducible,
     make_family,
     multinacci,
     multinacci_cofactor,
@@ -77,6 +78,46 @@ def test_coeff_text_is_constant_first():
     assert P("x^3-x-1").to_coeff_text() == "-1,-1,0,1"
 
 
+@pytest.mark.parametrize(
+    "text,coeffs",
+    [
+        ("x ^ 2 - 2", (-2, 0, 1)),
+        ("x^10 - 2 x^5 + 1", (1, 0, 0, 0, 0, -2, 0, 0, 0, 0, 1)),
+        ("- 3 x ^2 + x", (0, 1, -3)),
+        ("2*x**2 - 1", (-1, 0, 2)),
+        ("x ** 3 - 2 * x", (0, -2, 0, 1)),
+        ("x^2 + 0", (0, 0, 1)),
+    ],
+)
+def test_parse_whitespace_between_tokens(text, coeffs):
+    assert P(text).coefficients == coeffs
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "1 0 -2",  # juxtaposed constants; once read as -1
+        "2 3",  # once read as 5
+        "1 2x",  # once read as 2x+1
+        "x2",  # once read as x+2
+        "x x",  # once read as 2x
+        "x^1 0",  # whitespace inside the exponent
+        "1 0x",  # whitespace inside a coefficient
+        "2**x",
+        "x*2",
+    ],
+)
+def test_parse_rejects_terms_without_sign(bad):
+    with pytest.raises(ValueError, match="cannot parse polynomial near"):
+        parse_polynomial(bad)
+
+
+@pytest.mark.parametrize("bad", ["x^2-x^2+1", "0x^2+x-1", "x-x", "0x"])
+def test_parse_rejects_vanishing_leading_term(bad):
+    with pytest.raises(ValueError, match="leading coefficient"):
+        parse_polynomial(bad)
+
+
 # -- evaluation and arithmetic ------------------------------------------------
 
 def test_evaluate_exact_and_float():
@@ -86,6 +127,23 @@ def test_evaluate_exact_and_float():
     assert isinstance(p.evaluate(Fraction(1, 2)), Fraction)
     assert abs(p.evaluate(1.3247179572447460) - 0.0) < 1e-14
     assert p.evaluate(1j) == (1j) ** 3 - 1j - 1
+
+
+def test_horner_helpers_are_generic():
+    import mpmath
+    import numpy as np
+
+    from minklat.intpoly import _horner, _horner_with_derivative
+
+    coeffs = P("x^3-x-1").coefficients
+    assert _horner(coeffs, Fraction(1, 2)) == Fraction(-11, 8)
+    assert _horner_with_derivative(coeffs, 2) == (5, 11)
+    p, dp = _horner_with_derivative(coeffs, np.array([2.0, 1j]))
+    assert p.tolist() == [5.0, (1j) ** 3 - 1j - 1]
+    assert dp.tolist() == [11.0, -4.0]
+    with mpmath.workdps(30):
+        p, dp = _horner_with_derivative(coeffs, mpmath.mpf(3))
+        assert (p, dp) == (23, 26)
 
 
 def test_derivative():
@@ -369,3 +427,21 @@ def test_multinacci_family_irreducible(n):
     # subset reconstruction is exponential in the degree; stay in its
     # practical range (larger family members carry an assumed flag upstream)
     assert is_irreducible(multinacci(n)) is True
+
+
+def test_totally_real_irreducible_all_monic_cubics():
+    for c0 in range(-5, 6):
+        for c1 in range(-5, 6):
+            for c2 in range(-5, 6):
+                p = IntPolynomial((c0, c1, c2, 1))
+                irreducible = not _oracle_reducible(p)
+                expected = irreducible and sturm_real_count(p) == 3
+                assert is_totally_real_irreducible(p) == expected, p
+
+
+def test_totally_real_irreducible_rejects_repeated_roots():
+    # not squarefree, so the Sturm count raises; reducible either way
+    assert not is_totally_real_irreducible(P("x^2+4x+4"))
+    assert not is_totally_real_irreducible(P("x^3-3x+2"))
+    assert is_totally_real_irreducible(P("x^2-x-1"))
+    assert not is_totally_real_irreducible(P("x^3-x-1"))

@@ -201,6 +201,22 @@ def test_multinacci_twelve_minimum_is_one():
     assert abs(sv.m_value - 1.0) < 1e-9
 
 
+def _min_squared_length(p):
+    return shortest_vector(build_embedding(find_roots(p))).squared_length
+
+
+@pytest.mark.parametrize("n", [15, 17, 19, 21, 23, 25, 29])
+def test_ill_conditioned_basis_reports_true_length(n):
+    # multinacci(n) and truncated_geom(n) are reciprocal, so their roots
+    # generate the same order; the power basis of multinacci(n) has Gram
+    # entries near 4^n, where v^T G v once came out negative at n = 29
+    d2 = _min_squared_length(multinacci(n))
+    reference = _min_squared_length(make_family("truncated-geom", n))
+    assert d2 > 0
+    rel_tol = 1e-8 if n == 29 else 1e-9
+    assert abs(d2 - reference) <= rel_tol * reference
+
+
 # -- supplied bases ------------------------------------------------------------------
 
 def test_scaled_basis_scales_disc():
