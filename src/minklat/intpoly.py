@@ -209,16 +209,21 @@ def parse_polynomial(text: str) -> IntPolynomial:
 
     In the human form every term after the first starts with + or -, so
     juxtaposed terms such as ``1 2x`` or ``x2`` are rejected, and so is a
-    written leading term whose coefficients sum to zero (``x-x+1``).
+    written leading term whose coefficients sum to zero (``x-x+1``). A comma
+    list whose last (leading) entry is 0, such as ``1,0`` or ``0``, is
+    rejected the same way.
     """
     s = text.strip()
     if not s:
         raise ValueError("empty polynomial text")
     if "," in s or re.fullmatch(r"[+-]?\d+", s):
         try:
-            return IntPolynomial(int(part) for part in s.split(","))
+            ints = [int(part) for part in s.split(",")]
         except ValueError as exc:
             raise ValueError(f"bad coefficient list: {text!r}") from exc
+        if ints[-1] == 0:
+            raise ValueError(f"leading coefficient must be nonzero: {text!r}")
+        return IntPolynomial(ints)
     coeffs: dict[int, int] = {}
     pos = 0
     while pos < len(s):

@@ -166,21 +166,19 @@ def build_embedding(
 
 # -- LLL -------------------------------------------------------------------------
 
-def _gram_schmidt(b: np.ndarray):
-    n = b.shape[0]
-    bstar = np.zeros_like(b)
-    mu = np.zeros((n, n))
-    norms = np.zeros(n)
-    for i in range(n):
-        v = b[i].copy()
-        for j in range(i):
-            mu[i, j] = float(np.dot(b[i], bstar[j]) / norms[j])
-            v -= mu[i, j] * bstar[j]
-        bstar[i] = v
-        norms[i] = float(np.dot(v, v))
-        if norms[i] <= 0.0:
-            raise ArithmeticError("lattice basis lost positive definiteness")
-    return mu, norms
+def _gram_schmidt_row(
+    b: np.ndarray, bstar: np.ndarray, mu: np.ndarray, norms: np.ndarray, i: int
+) -> None:
+    """Classical Gram-Schmidt of row i: fills mu[i, :i], bstar[i] and
+    norms[i] from b[i] and bstar/norms of rows 0..i-1."""
+    v = b[i].copy()
+    for j in range(i):
+        mu[i, j] = float(np.dot(b[i], bstar[j]) / norms[j])
+        v -= mu[i, j] * bstar[j]
+    bstar[i] = v
+    norms[i] = float(np.dot(v, v))
+    if norms[i] <= 0.0:
+        raise ArithmeticError("lattice basis lost positive definiteness")
 
 
 def _lll(basis: np.ndarray, delta: float = LLL_DELTA):
@@ -188,21 +186,33 @@ def _lll(basis: np.ndarray, delta: float = LLL_DELTA):
     b = basis.astype(float).copy()
     n = b.shape[0]
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    mu, norms = _gram_schmidt(b)
+    bstar = np.zeros_like(b)
+    mu = np.zeros((n, n))
+    norms = np.zeros(n)
+    for i in range(n):
+        _gram_schmidt_row(b, bstar, mu, norms, i)
+    # row i's Gram-Schmidt data reads only rows 0..i of b, so a change to row
+    # k leaves rows below k current; rows below `current` are up to date, and
+    # each stale row is recomputed from its prefix when k first reaches it
+    current = n
     k = 1
     while k < n:
+        while current <= k:
+            _gram_schmidt_row(b, bstar, mu, norms, current)
+            current += 1
         for j in range(k - 1, -1, -1):
             q = round(mu[k, j])
             if q:
                 b[k] -= q * b[j]
                 u[k] = [uk - q * uj for uk, uj in zip(u[k], u[j])]
-                mu, norms = _gram_schmidt(b)
+                _gram_schmidt_row(b, bstar, mu, norms, k)
+                current = k + 1
         if norms[k] >= (delta - mu[k, k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
             b[[k - 1, k]] = b[[k, k - 1]]
             u[k - 1], u[k] = u[k], u[k - 1]
-            mu, norms = _gram_schmidt(b)
+            current = k - 1
             k = max(k - 1, 1)
     return b, tuple(tuple(row) for row in u)
 

@@ -118,6 +118,13 @@ def test_parse_rejects_vanishing_leading_term(bad):
         parse_polynomial(bad)
 
 
+@pytest.mark.parametrize("bad", ["-2,0,1,0", "1,0", "0", "0,0"])
+def test_parse_rejects_zero_leading_list_entry(bad):
+    # once read as x^2-2, 1 and (twice) the zero polynomial
+    with pytest.raises(ValueError, match="leading coefficient must be nonzero"):
+        parse_polynomial(bad)
+
+
 # -- evaluation and arithmetic ------------------------------------------------
 
 def test_evaluate_exact_and_float():

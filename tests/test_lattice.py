@@ -15,11 +15,13 @@ from minklat.intpoly import IntPolynomial, make_family, multinacci, parse_polyno
 from minklat.lattice import (
     BRUTE_FORCE_DIMENSION_CAP,
     ENUMERATION_DIMENSION_CAP,
+    LLL_DELTA,
     build_embedding,
     brute_force_shortest,
     lll_reduce,
     shortest_vector,
     _exact_det,
+    _lll,
 )
 from minklat.measures import m_lower_bound_signature
 from minklat.roots import find_roots
@@ -169,7 +171,21 @@ def test_degenerate_signatures_hit_witness(text):
 
 # -- LLL ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("text", ["x^3-x-1", "x^6+x^2-1", "x^4+x^2-1"])
+# larger and ill-conditioned power bases: multinacci(22) has Gram entries near
+# 4^22, root_power(8) has degree 24
+LLL_FAMILY_BASES = {
+    "multinacci15": multinacci(15).to_text(),
+    "multinacci22": multinacci(22).to_text(),
+    "truncated_geom20": make_family("truncated-geom", 20).to_text(),
+    "root_power8": make_family("root-power", 8).to_text(),
+}
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["x^3-x-1", "x^6+x^2-1", "x^4+x^2-1"]
+    + [pytest.param(text, id=name) for name, text in LLL_FAMILY_BASES.items()],
+)
 def test_lll_preserves_lattice(text):
     lat = lattice_of(text)
     red = lll_reduce(lat)
@@ -192,6 +208,42 @@ def test_lll_reduces_skewed_basis():
     assert np.max(np.abs(np.diag(red.gram))) <= np.max(np.abs(np.diag(lat.gram)))
     sv = shortest_vector(lat)
     assert abs(sv.squared_length - 1.894558248243) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "text,basis",
+    [pytest.param(text, None, id=name) for name, text in LLL_FAMILY_BASES.items()]
+    + [
+        pytest.param(
+            "x^3-x-1", [[1, 0, 0], [7, 1, 0], [23, 9, 1]], id="skewed_cubic"
+        )
+    ],
+)
+def test_lll_conditions_hold(text, basis):
+    # Gram-Schmidt of the reduced rows from Householder QR, independent of
+    # the one inside LLL: with b^T = QR, mu[i, j] = R[j, i] / R[j, j] and
+    # |b*_j|^2 = R[j, j]^2
+    lat = build_embedding(find_roots(parse_polynomial(text)), basis=basis)
+    b = lll_reduce(lat).basis_matrix
+    r = np.linalg.qr(b.T, mode="r")
+    diag = np.diag(r)
+    mu = (r / diag[:, None]).T
+    norms = diag**2
+    n = lat.dimension
+    for i in range(n):
+        for j in range(i):
+            assert abs(mu[i, j]) <= 0.5 + 1e-6
+    for k in range(1, n):
+        lovasz = (LLL_DELTA - mu[k, k - 1] ** 2) * norms[k - 1]
+        assert norms[k] >= lovasz * (1 - 1e-9)
+
+
+@pytest.mark.parametrize(
+    "basis", [[[1, 0], [1, 0]], [[1, 0, 0], [0, 1, 0], [1, 1, 0]]]
+)
+def test_lll_rejects_dependent_rows(basis):
+    with pytest.raises(ArithmeticError, match="lost positive definiteness"):
+        _lll(np.array(basis, dtype=float))
 
 
 def test_multinacci_twelve_minimum_is_one():
