@@ -631,14 +631,14 @@ def is_irreducible(p: IntPolynomial, return_witness: bool = False):
     return result(False, mapped)
 
 
-def is_totally_real_irreducible(p: IntPolynomial) -> bool:
-    """True iff p is irreducible over Q and every root of p is real.
+def is_irreducible_of_signature(p: IntPolynomial, s: int) -> bool:
+    """True iff p is irreducible over Q and has exactly s real roots.
 
     The exact Sturm count decides first, since it is cheap and rejects most
     candidates; a polynomial that is not squarefree is reducible.
     """
     try:
-        if sturm_real_count(p) != p.degree:
+        if sturm_real_count(p) != s:
             return False
     except ValueError:
         return False

@@ -46,8 +46,6 @@ class EmbeddedLattice:
     order_disc: Union[int, Fraction]
     # rows express basis elements over the power basis 1, alpha, ..., alpha^(n-1)
     basis_over_power: Tuple[Tuple[Fraction, ...], ...]
-    # unimodular rows mapping this basis to the lattice it was reduced from
-    transform: Optional[Tuple[Tuple[int, ...], ...]] = None
 
     @property
     def determinant(self) -> float:
@@ -181,7 +179,7 @@ def _gram_schmidt_row(
         raise ArithmeticError("lattice basis lost positive definiteness")
 
 
-def _lll(basis: np.ndarray, delta: float = LLL_DELTA):
+def _lll(basis: np.ndarray):
     """LLL reduction; returns (reduced basis, integer unimodular transform)."""
     b = basis.astype(float).copy()
     n = b.shape[0]
@@ -207,7 +205,7 @@ def _lll(basis: np.ndarray, delta: float = LLL_DELTA):
                 u[k] = [uk - q * uj for uk, uj in zip(u[k], u[j])]
                 _gram_schmidt_row(b, bstar, mu, norms, k)
                 current = k + 1
-        if norms[k] >= (delta - mu[k, k - 1] ** 2) * norms[k - 1]:
+        if norms[k] >= (LLL_DELTA - mu[k, k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
             b[[k - 1, k]] = b[[k, k - 1]]
@@ -230,26 +228,19 @@ def _combine_rows(
     return tuple(acc)
 
 
-def lll_reduce(lat: EmbeddedLattice) -> EmbeddedLattice:
-    """Same lattice with a delta=0.99 LLL-reduced basis; the unimodular
-    transform back to the input basis rides along in .transform.
+def lll_reduce(
+    lat: EmbeddedLattice,
+) -> Tuple[np.ndarray, Tuple[Tuple[int, ...], ...]]:
+    """delta=0.99 LLL reduction of the lattice's basis rows; returns the
+    reduced rows and the integer unimodular transform U with
+    U @ lat.basis_matrix equal to them up to rounding.
     """
     reduced, u = _lll(lat.basis_matrix)
-    gram = reduced @ reduced.T
     try:
-        np.linalg.cholesky(gram)
+        np.linalg.cholesky(reduced @ reduced.T)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError("lattice basis lost positive definiteness") from exc
-    return EmbeddedLattice(
-        conjugates=lat.conjugates,
-        dimension=lat.dimension,
-        signature=lat.signature,
-        basis_matrix=reduced,
-        gram=gram,
-        order_disc=lat.order_disc,
-        basis_over_power=tuple(_combine_rows(row, lat.basis_over_power) for row in u),
-        transform=u,
-    )
+    return reduced, u
 
 
 # -- minimizer bookkeeping ----------------------------------------------------------
@@ -417,14 +408,13 @@ def shortest_vector(lat: EmbeddedLattice) -> ShortestVectorResult:
         )
     s, t = lat.signature
     radius_sq = (s + t) + RADIUS_SLACK
-    reduced = lll_reduce(lat)
-    raw = _fincke_pohst(reduced.gram, radius_sq)
+    reduced, transform = lll_reduce(lat)
+    raw = _fincke_pohst(reduced @ reduced.T, radius_sq)
     if not raw:
         raise RuntimeError("radius search empty")
     # map back to the caller's basis before the tie-break so the canonical
     # choice is over original coordinates
-    assert reduced.transform is not None
-    mapped = [_combine_rows(v, reduced.transform) for v in raw]
+    mapped = [_combine_rows(v, transform) for v in raw]
     coords, sq_len = _pick_minimizer(lat.basis_matrix, mapped)
     result = _result_from_coords(lat, coords, sq_len, "enumeration")
     if result.m_value > 1.0 + 1e-9:

@@ -14,13 +14,12 @@ degree 6, so the default pipeline generates candidates through sound prunes:
   * one representative per {f(x), (-1)^n f(-x)} orbit is tested, both
     members are reported.
 
-A vectorized companion-eigenvalue prescreen then discards candidates whose
-estimated m exceeds 1 + 1e-6, whose root moduli clearly leave the m < 1
-ball, or whose unambiguous real-root count misses the target signature; the
-margins sit many orders above eigenvalue error at these degrees, and every
-discard rule is validated against the unpruned box at degrees 3 and 4.
-Survivors face the exact stage: certified irreducibility, Sturm-checked
-signature, and the size profile's m.
+A vectorized companion-eigenvalue prescreen then decides only m: it
+discards candidates whose estimated m exceeds 1 + 1e-6, a margin many orders
+above eigenvalue error at these degrees. The raw box passes through the same
+prescreen, so pruned and unpruned runs agreeing at degrees 3 and 4 validates
+the walk's prunes. Survivors face the exact stage: the Sturm count decides
+the signature, then certified irreducibility, then the size profile's m.
 """
 from __future__ import annotations
 
@@ -34,13 +33,14 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .intpoly import IntPolynomial, is_irreducible, is_totally_real_irreducible
+from .intpoly import IntPolynomial, is_irreducible_of_signature
 from .measures import m_lower_bound_signature, size_profile
-from .roots import SignatureError, find_roots
+from .roots import find_roots
 
 MAX_SEARCH_DEGREE = 8
 M_GUARD = 1e-9
 PRESCREEN_M_GUARD = 1e-6
+PRESCREEN_CHUNK = 200_000
 WINDOW_SLACK = 1.0 + 1e-6
 
 
@@ -158,39 +158,31 @@ def _walk_raw(
 # -- eigenvalue prescreen -------------------------------------------------------------
 
 def _prescreen(
-    cands: Sequence[Tuple[int, ...]],
-    n: int,
-    s: int,
-    t: int,
-    m_only: bool,
-    chunk: int = 200_000,
+    cands: Sequence[Tuple[int, ...]], n: int, st: int
 ) -> List[Tuple[int, ...]]:
-    """Safe numeric discard stage; keeps anything ambiguous."""
+    """Safe numeric discard on estimated m alone; keeps anything ambiguous.
+
+    A root that is not clearly real is counted as half of a complex pair,
+    which can only lower the estimate.
+    """
     if not cands:
         return []
-    st = s + t
     arr = np.asarray(cands, dtype=np.int64)
     kept: List[Tuple[int, ...]] = []
-    for lo in range(0, len(arr), chunk):
-        block = arr[lo : lo + chunk].astype(np.float64)
+    for lo in range(0, len(arr), PRESCREEN_CHUNK):
+        block = arr[lo : lo + PRESCREEN_CHUNK].astype(np.float64)
         k = len(block)
         companion = np.zeros((k, n, n))
         if n > 1:
             companion[:, 1:, :-1] = np.eye(n - 1)
         companion[:, 0, :] = -block
         ev = np.linalg.eigvals(companion)
-        im = np.abs(ev.imag)
         mod2 = ev.real**2 + ev.imag**2
-        clearly_real = im < 1e-7 * (1 + np.abs(ev.real))
-        clearly_cplx = im > 1e-4
+        clearly_real = np.abs(ev.imag) < 1e-7 * (1 + np.abs(ev.real))
         total = mod2.sum(axis=1)
         real_part = np.where(clearly_real, mod2, 0.0).sum(axis=1)
         m_est = (real_part + (total - real_part) / 2.0) / st
         discard = m_est > 1.0 + PRESCREEN_M_GUARD
-        if not m_only:
-            discard |= (mod2 > st * (1 + 1e-9)).any(axis=1)
-            unambiguous = (clearly_real | clearly_cplx).all(axis=1)
-            discard |= unambiguous & (clearly_real.sum(axis=1) != s)
         for idx in np.nonzero(~discard)[0]:
             kept.append(tuple(int(x) for x in arr[lo + idx]))
     return kept
@@ -268,28 +260,18 @@ def _scan_signature_range(
 ) -> dict:
     if prune:
         generated = _walk_pruned(n, s, t, a1_values)
-        survivors = _prescreen(generated, n, s, t, m_only=False)
     else:
         generated = _walk_raw(n, s + t, a1_values)
-        if n >= 4:
-            survivors = _prescreen(generated, n, s, t, m_only=True)
-        else:
-            survivors = list(generated)
+    survivors = _prescreen(generated, n, s + t)
     accepted: List[Tuple[Tuple[int, ...], float]] = []
     inconclusive: List[Tuple[Tuple[int, ...], float]] = []
     passed_irr = 0
     for coeffs in survivors:
         poly = _to_polynomial(coeffs, n)
-        if not is_irreducible(poly):
+        if not is_irreducible_of_signature(poly, s):
             continue
         passed_irr += 1
-        try:
-            roots = find_roots(poly)
-        except SignatureError:
-            continue
-        if roots.signature != (s, t):
-            continue
-        m = size_profile(roots).m
+        m = size_profile(find_roots(poly)).m
         if m < 1.0 - M_GUARD:
             sink = accepted
         elif m <= 1.0 + M_GUARD:
@@ -307,7 +289,6 @@ def _scan_signature_range(
                 sink.append((mirror, m_mirror))
     return {
         "generated": len(generated),
-        "passed_bounds": len(generated),
         "passed_prescreen": len(survivors),
         "passed_irreducibility": passed_irr,
         "accepted": accepted,
@@ -346,7 +327,6 @@ def enumerate_m_lt_one(
     t0 = time.time()
     stats = {
         "generated": 0,
-        "passed_bounds": 0,
         "passed_prescreen": 0,
         "passed_irreducibility": 0,
         "passed_m": 0,
@@ -375,7 +355,6 @@ def enumerate_m_lt_one(
         inconclusive: List[Tuple[Tuple[int, ...], float]] = []
         for part in partials:
             stats["generated"] += part["generated"]
-            stats["passed_bounds"] += part["passed_bounds"]
             stats["passed_prescreen"] += part["passed_prescreen"]
             stats["passed_irreducibility"] += part["passed_irreducibility"]
             accepted.extend(part["accepted"])
@@ -431,7 +410,7 @@ def subelement_scan(
     violators: List[IntPolynomial] = []
     for coeffs in product(*(range(-b, b + 1) for b in box)):
         poly = _to_polynomial(coeffs, degree)
-        if not is_totally_real_irreducible(poly):
+        if not is_irreducible_of_signature(poly, degree):
             continue
         roots = find_roots(poly)
         squares = sorted(r * r for r in roots.real_roots)

@@ -28,7 +28,7 @@ from .intpoly import (
     IntPolynomial,
     even_spread,
     is_irreducible,
-    is_totally_real_irreducible,
+    is_irreducible_of_signature,
     multinacci_cofactor,
     root_power,
     truncated_geom,
@@ -557,7 +557,7 @@ def check_smyth(max_degree: int = 5) -> CheckRecord:
         scanned += len(cands)
         for coeffs in cands:
             poly = _to_polynomial(coeffs, n)
-            if not is_totally_real_irreducible(poly):
+            if not is_irreducible_of_signature(poly, n):
                 continue
             p2 = coeffs[0] * coeffs[0] - 2 * coeffs[1]
             if 2 * p2 < 3 * n:

@@ -15,6 +15,7 @@ from contextlib import contextmanager
 from math import comb, isqrt
 
 import mpmath
+import pytest
 
 from conftest import record_acceptance
 from test_search import DEG3_TABLE, DEG4_TABLE, DEG5_TABLE, DEG6_TABLE
@@ -102,6 +103,7 @@ def test_criterion_01_low_degree_tables(timed_search_34):
         )
 
 
+@pytest.mark.slow
 def test_criterion_02_mid_degree_tables(search_report_5, search_report_6):
     parts = []
     with criterion("02", parts):
@@ -151,6 +153,7 @@ def test_criterion_03_prune_soundness(search_report_3, search_report_4):
         )
 
 
+@pytest.mark.slow
 def test_criterion_04_svp_oracle(
     search_report_3, search_report_4, search_report_5, search_report_6
 ):
@@ -185,6 +188,7 @@ def test_criterion_04_svp_oracle(
         )
 
 
+@pytest.mark.slow
 def test_criterion_05_determinant_identity(
     search_report_3, search_report_4, search_report_5, search_report_6
 ):
@@ -215,6 +219,7 @@ def test_criterion_05_determinant_identity(
         )
 
 
+@pytest.mark.slow
 def test_criterion_06_universal_floors(
     search_report_3, search_report_4, search_report_5, search_report_6
 ):
@@ -292,6 +297,7 @@ def test_criterion_07_constants():
         )
 
 
+@pytest.mark.slow
 def test_criterion_08_asymptotic_suites():
     parts = []
     with criterion("08", parts):
@@ -318,6 +324,7 @@ def test_criterion_08_asymptotic_suites():
         )
 
 
+@pytest.mark.slow
 def test_criterion_09_structural_suite():
     parts = []
     with criterion("09", parts):

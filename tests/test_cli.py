@@ -171,6 +171,12 @@ def test_search_json_is_deterministic_without_timing(runner):
     assert first.output == second.output
     payload = json.loads(first.output)
     assert "wall_time" not in payload
+    assert set(payload["stats"]) == {
+        "generated",
+        "passed_prescreen",
+        "passed_irreducibility",
+        "passed_m",
+    }
     assert payload["stats"]["generated"] == 299
 
 

@@ -14,7 +14,7 @@ from minklat.intpoly import (
     divmod_exact,
     even_spread,
     is_irreducible,
-    is_totally_real_irreducible,
+    is_irreducible_of_signature,
     make_family,
     multinacci,
     multinacci_cofactor,
@@ -437,18 +437,26 @@ def test_multinacci_family_irreducible(n):
 
 
 def test_totally_real_irreducible_all_monic_cubics():
+    # an irreducible cubic is squarefree, and the sign of its discriminant
+    # gives its real-root count: 3 if positive, 1 if negative
     for c0 in range(-5, 6):
         for c1 in range(-5, 6):
             for c2 in range(-5, 6):
                 p = IntPolynomial((c0, c1, c2, 1))
                 irreducible = not _oracle_reducible(p)
-                expected = irreducible and sturm_real_count(p) == 3
-                assert is_totally_real_irreducible(p) == expected, p
+                real_roots = 3 if discriminant(p) > 0 else 1
+                for s in range(4):
+                    expected = irreducible and s == real_roots
+                    assert is_irreducible_of_signature(p, s) == expected, (p, s)
 
 
 def test_totally_real_irreducible_rejects_repeated_roots():
     # not squarefree, so the Sturm count raises; reducible either way
-    assert not is_totally_real_irreducible(P("x^2+4x+4"))
-    assert not is_totally_real_irreducible(P("x^3-3x+2"))
-    assert is_totally_real_irreducible(P("x^2-x-1"))
-    assert not is_totally_real_irreducible(P("x^3-x-1"))
+    for text in ("x^2+4x+4", "x^3-3x+2", "x^3-x^2-x+1", "x^4+2x^2+1"):
+        p = P(text)
+        for s in range(p.degree + 1):
+            assert not is_irreducible_of_signature(p, s), (p, s)
+    assert is_irreducible_of_signature(P("x^2-x-1"), 2)
+    assert not is_irreducible_of_signature(P("x^3-x-1"), 3)
+    assert is_irreducible_of_signature(P("x^3-x-1"), 1)
+    assert is_irreducible_of_signature(P("x^6+x^2-1"), 2)

@@ -14,9 +14,11 @@ from math import comb, isqrt
 import pytest
 
 from minklat.constants import UNIVERSAL_M_FLOOR
-from minklat.intpoly import parse_polynomial
+from minklat.intpoly import parse_polynomial, sturm_real_count
 from minklat.measures import m_lower_bound_signature
 from minklat.search import (
+    _mirror_coeffs,
+    _prescreen,
     admissible_signatures,
     coefficient_bounds,
     enumerate_m_lt_one,
@@ -169,6 +171,7 @@ def test_degree5_table(search_report_5):
         assert abs(m - m_ref) < 1e-6
 
 
+@pytest.mark.slow
 def test_degree6_table(search_report_6):
     by_sig = {g.signature: g for g in search_report_6.groups}
     assert by_sig[(4, 1)].count == 0
@@ -181,6 +184,7 @@ def test_degree6_table(search_report_6):
     assert abs(g.entries[0][1] - 0.946467799117053) < 1e-9
 
 
+@pytest.mark.slow
 def test_no_inconclusive_through_degree_6(
     search_report_3, search_report_4, search_report_5, search_report_6
 ):
@@ -190,6 +194,7 @@ def test_no_inconclusive_through_degree_6(
 
 # -- invariants ------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_every_m_above_universal_and_signature_floors(
     search_report_3, search_report_4, search_report_5, search_report_6
 ):
@@ -202,6 +207,7 @@ def test_every_m_above_universal_and_signature_floors(
                 assert m > lb - 1e-9
 
 
+@pytest.mark.slow
 def test_constant_terms_are_units(search_report_5, search_report_6):
     for r in (search_report_5, search_report_6):
         for g in r.groups:
@@ -209,6 +215,7 @@ def test_constant_terms_are_units(search_report_5, search_report_6):
                 assert p.constant_term in (-1, 1)
 
 
+@pytest.mark.slow
 def test_mirror_closure(search_report_5, search_report_6):
     # the m < 1 set is closed under x -> -x, and both members are listed
     for r in (search_report_5, search_report_6):
@@ -221,6 +228,7 @@ def test_mirror_closure(search_report_5, search_report_6):
                 assert mirrored.to_text() in texts
 
 
+@pytest.mark.slow
 def test_counts_match_lengths(search_report_5, search_report_6):
     for r in (search_report_5, search_report_6):
         for g in r.groups:
@@ -231,6 +239,7 @@ def test_counts_match_lengths(search_report_5, search_report_6):
         assert r.wall_time > 0
 
 
+@pytest.mark.slow
 def test_entries_sorted_ascending(search_report_6):
     for g in search_report_6.groups:
         ms = [m for _, m in g.entries]
@@ -238,6 +247,19 @@ def test_entries_sorted_ascending(search_report_6):
 
 
 # -- prune soundness -------------------------------------------------------------------
+
+def test_prescreen_keeps_every_table_member_and_its_mirror():
+    # the pruned and the raw walk share this one float discard, so their
+    # agreement cannot catch an m guard tightened past a table member
+    for table in (DEG3_TABLE, DEG4_TABLE, DEG5_TABLE, DEG6_TABLE):
+        for text, _ in table:
+            p = parse_polynomial(text)
+            n = p.degree
+            s = sturm_real_count(p)
+            coeffs = tuple(reversed(p.coefficients[:-1]))  # a_1..a_n
+            for c in (coeffs, _mirror_coeffs(coeffs)):
+                assert _prescreen([c], n, s + (n - s) // 2) == [c], (text, c)
+
 
 def test_pruned_equals_raw_degree3(search_report_3):
     raw = enumerate_m_lt_one(3, prune=False)
