@@ -1,9 +1,10 @@
 """Floating root finding with exact cross-checks.
 
-Roots come from a simultaneous Aberth iteration in double precision, polished
-with extended-precision Newton steps at high degree.  The real/complex split
-is never trusted on its own: the count of real roots must match the exact
-Sturm count or construction fails.
+Roots come from a simultaneous Aberth iteration in double precision.  Above
+POLISH_DEGREE_THRESHOLD each is polished to its correctly rounded double:
+Newton steps in long double decide most roots, and 40-digit mpmath Newton the
+rest.  The real/complex split is never trusted on its own: the count of real
+roots must match the exact Sturm count or construction fails.
 """
 from __future__ import annotations
 
@@ -118,7 +119,12 @@ def _aberth(coeffs: Sequence[int]) -> np.ndarray:
 
 
 def _polish(coeffs: Sequence[int], roots: np.ndarray) -> np.ndarray:
-    """Extended-precision Newton pass; rescues the last digits at high degree."""
+    """Extended-precision Newton pass; rescues the last digits at high degree.
+
+    Each root comes out correctly rounded to double, up to the 40-digit
+    error. _fast_polish reproduces its output and calls it for the roots
+    where long double cannot decide the rounding.
+    """
     out = []
     with mpmath.workdps(40):
         cs = [mpmath.mpf(int(c)) for c in coeffs]
@@ -134,6 +140,129 @@ def _polish(coeffs: Sequence[int], roots: np.ndarray) -> np.ndarray:
                     break
             out.append(complex(z))
     return np.array(out, dtype=complex)
+
+
+# -- long-double polish ----------------------------------------------------------
+#
+# Two Newton steps in numpy long double bring each Aberth root within a few
+# long-double units of the root, and f at the result, by compensated Horner,
+# bounds that distance.  A component whose rounding to double the bound
+# decides is taken from long double; every other root goes through the mpmath
+# _polish, so the output bytes are the same.
+
+# Only x87 extended (64-bit significand) is used: the Dekker split factor
+# 2^32 + 1 and the unit roundoff 2^-64 below are for that format.  Where long
+# double is double, or any other format, every root takes the mpmath path.
+_LONG_DOUBLE_DECIDES = np.finfo(np.longdouble).nmant == 63
+_LD_UNIT = np.longdouble(2.0) ** -64
+_LD_SPLIT = np.longdouble(2.0**32 + 1)
+# Integer coefficients below 2^53 convert to long double exactly.
+_FAST_COEFF_LIMIT = 2**53
+# _polish runs Newton at 40 digits (136 bits) from the same Aberth point,
+# until its step is below 1e-25·(1 + |z|) or for four steps.  Where long
+# double decides a root, _polish has converged too: to within its Horner
+# error, (4n + 2)·2^-136 times p~(|z|)/|f'(z)|, plus its rounding 2^-136·|z|.
+# Below degree 2^20 this margin, times |z| + p~(|z|)/|f'(z)|, covers both.
+_MPMATH_MARGIN = np.longdouble(2.0) ** -110
+
+
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and a + b = s + e exactly (Knuth)."""
+    s = a + b
+    z = s - a
+    return s, (a - (s - z)) + (b - z)
+
+
+def _split(a):
+    """(h, l) with a = h + l, each half of the significand (Dekker)."""
+    c = _LD_SPLIT * a
+    h = c - (c - a)
+    return h, a - h
+
+
+def _compensated_horner(coeffs: Sequence[int], zr: np.ndarray, zi: np.ndarray):
+    """f(z) at z = zr + i·zi by complex compensated Horner, as (real, imag).
+
+    Graillat and Menissier-Morain, "Compensated Horner scheme in complex
+    floating point arithmetic" (RNC 8, 2008; journal version "Accurate
+    summation, dot product and polynomial evaluation in complex floating point
+    arithmetic", Inf. Comput. 216, 2012): TwoProduct (Dekker) on the four
+    real products of s·z, TwoSum on their sums and on the coefficient, and
+    the errors summed by a plain Horner pass alongside.
+    """
+    # Row 0 of s·zz holds the two products whose sum is re(s·z), row 1 those
+    # of im(s·z); the negation sits in zz, where it is exact.
+    zz = np.array([[zr, -zi], [zi, zr]], dtype=np.longdouble)
+    zh, zl = _split(zz)
+    s = np.zeros((2, zr.size), dtype=np.longdouble)
+    s[0] = coeffs[-1]
+    c = np.zeros_like(s)
+    for a in reversed(coeffs[:-1]):
+        prod = s * zz
+        sh, sl = _split(s)
+        err = sl * zl - (((prod - sh * zh) - sl * zh) - sh * zl)
+        s, e = _two_sum(prod[:, 0], prod[:, 1])
+        if a:
+            s[0], e0 = _two_sum(s[0], np.longdouble(a))
+            e[0] += e0
+        cc = c * zz
+        c = (cc[:, 0] + cc[:, 1]) + (e + err[:, 0] + err[:, 1])
+    return s[0] + c[0], s[1] + c[1]
+
+
+def _long_double_newton(coeffs: Sequence[int], roots: np.ndarray):
+    """(z, radius): two Newton steps in long double from the Aberth roots.
+
+    Within radius[i] of z[i] lie both the root and _polish's value for it.
+    """
+    n = len(coeffs) - 1
+    ld_coeffs = [np.longdouble(c) for c in coeffs]
+    d_coeffs = [np.longdouble(i * c) for i, c in enumerate(coeffs)][1:]
+    z = np.asarray(roots, dtype=np.clongdouble)
+    with np.errstate(all="ignore"):
+        for _ in range(2):
+            z = z - _horner(ld_coeffs, z) / _horner(d_coeffs, z)
+        fr, fi = _compensated_horner(coeffs, z.real, z.imag)
+        df = _horner(d_coeffs, z)
+        # The error bound.  With u = 2^-64 and g = (4n+2)u / (1 - (4n+2)u),
+        # the compensated residual res obeys |res - f(z)| <= u|f(z)| +
+        # 2 g^2 p~(|z|), p~ the polynomial with coefficients |a_i| (Graillat
+        # and Menissier-Morain, as above).  So |f(z)| <= f_bound, and
+        # |z - root| <= f_bound / |f'(z)| to first order; the factor 2
+        # covers the second-order term and the plain-Horner error of f'(z).
+        absz = np.abs(z)
+        tilde = _horner([abs(c) for c in ld_coeffs], absz)
+        g = (4 * n + 2) * _LD_UNIT / (1 - (4 * n + 2) * _LD_UNIT)
+        f_bound = (np.hypot(fr, fi) + 2 * g * g * tilde) / (1 - _LD_UNIT)
+        absdf = np.abs(df)
+        radius = 2 * f_bound / absdf + _MPMATH_MARGIN * (absz + tilde / absdf)
+    return z, radius
+
+
+def _rounding_decided(x: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """True where every value within radius of x rounds to the same double.
+
+    The midpoints between a double and its neighbours are exact in long
+    double, and so, away from 0, are x minus them (Sterbenz); NaN compares
+    False.
+    """
+    d = x.astype(np.float64)
+    mid_lo = (d + np.nextafter(d, -np.inf).astype(np.longdouble)) / 2
+    mid_hi = (d + np.nextafter(d, np.inf).astype(np.longdouble)) / 2
+    return (x - mid_lo > radius) & (mid_hi - x > radius)
+
+
+def _fast_polish(coeffs: Sequence[int], roots: np.ndarray) -> np.ndarray:
+    """The output of _polish, with mpmath run only on undecided roots."""
+    if not _LONG_DOUBLE_DECIDES or max(abs(c) for c in coeffs) >= _FAST_COEFF_LIMIT:
+        return _polish(coeffs, roots)
+    z, radius = _long_double_newton(coeffs, roots)
+    with np.errstate(invalid="ignore"):
+        decided = _rounding_decided(z.real, radius) & _rounding_decided(z.imag, radius)
+    out = z.astype(complex)
+    if not decided.all():
+        out[~decided] = _polish(coeffs, roots[~decided])
+    return out
 
 
 def _log_residual_ok(coeffs: Sequence[int], roots: np.ndarray) -> Tuple[bool, float]:
@@ -161,7 +290,7 @@ def _locate_roots(p: IntPolynomial, polish: Optional[bool] = None) -> np.ndarray
     if polish is None:
         polish = p.degree > POLISH_DEGREE_THRESHOLD
     if polish:
-        roots = _polish(p.coefficients, roots)
+        roots = _fast_polish(p.coefficients, roots)
     return roots
 
 
@@ -265,8 +394,19 @@ def erdos_turan_check(
         raise ValueError("need degree >= 1")
     if p.constant_term == 0 or p.leading_coefficient == 0:
         raise ValueError("nonzero constant and leading coefficients required")
+    return _sector_bound(p, _locate_roots(p, polish=False), phi, psi, constant)
+
+
+def _sector_bound(
+    p: IntPolynomial,
+    roots: np.ndarray,
+    phi: float,
+    psi: float,
+    constant: float = ERDOS_TURAN_DEFAULT,
+) -> SectorBoundResult:
+    """erdos_turan_check on the unpolished roots of p, located once by the
+    caller, so that one root set serves every sector and constant."""
     d = p.degree
-    roots = _locate_roots(p, polish=False)
     n_sector = sector_count(list(roots), phi, psi)
     lhs = abs(n_sector - (psi - phi) / (2.0 * math.pi) * d)
     length = float(sum(abs(c) for c in p.coefficients))

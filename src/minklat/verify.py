@@ -40,7 +40,7 @@ from .measures import (
     root_extract_profile,
     size_profile,
 )
-from .roots import InconclusiveError, erdos_turan_check, find_roots
+from .roots import InconclusiveError, _locate_roots, _sector_bound, find_roots
 from .search import (
     SearchReport,
     _to_polynomial,
@@ -480,6 +480,7 @@ def check_erdos_turan_suite(
     records = []
     for n in ns:
         p = multinacci_cofactor(n)
+        located = _locate_roots(p, polish=False)
         k = max(1, isqrt(isqrt(n)))
         worst = -math.inf
         all_hold = True
@@ -487,7 +488,7 @@ def check_erdos_turan_suite(
             phi = math.pi * j / k
             psi = math.pi * (j + 1) / k
             for constant in (ERDOS_TURAN_CLASSICAL, ERDOS_TURAN_DEFAULT):
-                res = erdos_turan_check(p, phi, psi, constant=constant)
+                res = _sector_bound(p, located, phi, psi, constant=constant)
                 all_hold = all_hold and res.holds
                 worst = max(worst, res.lhs - res.rhs)
         records.append(

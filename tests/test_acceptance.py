@@ -297,7 +297,6 @@ def test_criterion_07_constants():
         )
 
 
-@pytest.mark.slow
 def test_criterion_08_asymptotic_suites():
     parts = []
     with criterion("08", parts):
@@ -324,7 +323,6 @@ def test_criterion_08_asymptotic_suites():
         )
 
 
-@pytest.mark.slow
 def test_criterion_09_structural_suite():
     parts = []
     with criterion("09", parts):

@@ -1,11 +1,15 @@
 """Root finding, sector counts, discrepancy bound, Pisot verdicts."""
 import math
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from minklat.intpoly import (
     IntPolynomial,
+    _horner,
+    _horner_with_derivative,
     even_spread,
     is_irreducible,
     multinacci,
@@ -15,6 +19,7 @@ from minklat.intpoly import (
     sturm_real_count,
     truncated_geom,
 )
+from minklat import roots
 from minklat.roots import (
     ConjugateSet,
     InconclusiveError,
@@ -25,7 +30,12 @@ from minklat.roots import (
     multinacci_location_check,
     pisot_check,
     sector_count,
+    _aberth,
+    _compensated_horner,
+    _fast_polish,
     _locate_roots,
+    _long_double_newton,
+    _sector_bound,
 )
 
 
@@ -101,6 +111,106 @@ def test_signature_matches_sturm_for_irreducibles(p):
         assert z.imag > 0
 
 
+# -- polish ---------------------------------------------------------------------------
+
+POLISHED = {
+    "truncated_geom120": truncated_geom(120),
+    "even_spread102": even_spread(102),  # moved 1-2 ulp without the polish
+    "root_power40": root_power(40),
+    "multinacci150": multinacci(150),
+    "multinacci_cofactor400": multinacci_cofactor(400),
+}
+
+
+def _exact(x):
+    # a long double as an mpmath number, without rounding
+    num, den = x.as_integer_ratio()
+    return mpmath.mpf(num) / den
+
+
+def _record_polish_calls(monkeypatch):
+    # route roots._polish through a spy; returns the root arrays it is given
+    sent = [np.empty(0, dtype=complex)]
+    reference_polish = roots._polish
+
+    def spy(cs, zs):
+        sent.append(np.array(zs))
+        return reference_polish(cs, zs)
+
+    monkeypatch.setattr(roots, "_polish", spy)
+    return sent
+
+
+@pytest.mark.parametrize("p", POLISHED.values(), ids=POLISHED.keys())
+def test_fast_polish_is_byte_equal_to_mpmath_polish(p, monkeypatch):
+    coeffs = p.coefficients
+    start = _aberth(coeffs)
+    reference = roots._polish(coeffs, start)
+    calls = _record_polish_calls(monkeypatch)
+    assert _fast_polish(coeffs, start).tobytes() == reference.tobytes()
+    sent = np.concatenate(calls)
+    # mpmath leaves a real root an imaginary part of noise, which long double
+    # cannot round the same way: every real root must take the fallback
+    real = np.abs(reference.imag) < 1e-30
+    assert real.sum() == sturm_real_count(p)
+    assert np.isin(start[real], sent).all()
+    # the fast path decides all but a few complex roots
+    assert sent.size <= real.sum() + p.degree // 20
+
+
+@pytest.mark.parametrize(
+    "coeffs, platform_ok",
+    [
+        (truncated_geom(120).coefficients, False),
+        # a coefficient long double might not hold exactly
+        ((-1, 2**53) + (0,) * 99 + (1,), True),
+    ],
+    ids=["no_x87_long_double", "coefficient_2^53"],
+)
+def test_guards_send_every_root_to_mpmath(coeffs, platform_ok, monkeypatch):
+    start = _aberth(coeffs)
+    reference = roots._polish(coeffs, start)
+    monkeypatch.setattr(roots, "_LONG_DOUBLE_DECIDES", platform_ok)
+    calls = _record_polish_calls(monkeypatch)
+    assert _fast_polish(coeffs, start).tobytes() == reference.tobytes()
+    assert [c.size for c in calls[1:]] == [len(coeffs) - 1]
+
+
+@pytest.mark.parametrize("p", POLISHED.values(), ids=POLISHED.keys())
+def test_long_double_radius_bounds_distance_to_root(p):
+    # one 30-digit Newton step from z gives z's distance to the root to
+    # about 1e-30, far below the radius of about 1e-19
+    z, radius = _long_double_newton(p.coefficients, _aberth(p.coefficients))
+    with mpmath.workdps(30):
+        cs = [mpmath.mpf(c) for c in p.coefficients]
+        for zk, rk in zip(z, radius):
+            f, df = _horner_with_derivative(cs, mpmath.mpc(_exact(zk.real), _exact(zk.imag)))
+            assert abs(f / df) <= _exact(rk)
+
+
+def test_compensated_horner_within_its_bound():
+    # (x^2 - 2x + 2)^6 near its 6-fold roots 1 +- i: plain long-double Horner
+    # is off by about 1e15 times the bound there
+    p = IntPolynomial((1,))
+    for _ in range(6):
+        p = p * IntPolynomial((2, -2, 1))
+    n = p.degree
+    offsets = np.linspace(-1e-3, 1e-3, 9)
+    zr = np.repeat(1 + offsets, offsets.size).astype(np.longdouble)
+    zi = np.tile(1 + offsets, offsets.size).astype(np.longdouble)
+    fr, fi = _compensated_horner(p.coefficients, zr, zi)
+    u = mpmath.mpf(2) ** -64
+    g = (4 * n + 2) * u / (1 - (4 * n + 2) * u)
+    with mpmath.workdps(60):
+        cs = [mpmath.mpf(c) for c in p.coefficients]
+        abs_cs = [abs(c) for c in cs]
+        for k in range(zr.size):
+            z = mpmath.mpc(_exact(zr[k]), _exact(zi[k]))
+            exact = _horner(cs, z)
+            res = mpmath.mpc(_exact(fr[k]), _exact(fi[k]))
+            assert abs(res - exact) <= u * abs(exact) + 2 * g * g * _horner(abs_cs, abs(z))
+
+
 # -- sector_count -----------------------------------------------------------------
 
 def test_sector_counts_known():
@@ -149,9 +259,16 @@ def test_discrepancy_bound_cofactor_family():
     for n in (10, 100, 400):
         p = multinacci_cofactor(n)
         k = int((n + 0.0) ** 0.25)
+        located = _locate_roots(p, polish=False)
         for j in range(2 * k):
-            r = erdos_turan_check(p, math.pi * j / k, math.pi * (j + 1) / k)
+            phi, psi = math.pi * j / k, math.pi * (j + 1) / k
+            r = erdos_turan_check(p, phi, psi)
             assert r.holds, (n, j)
+            # one root set serves every sector and constant
+            assert _sector_bound(p, located, phi, psi) == r
+            assert _sector_bound(p, located, phi, psi, 16.0) == erdos_turan_check(
+                p, phi, psi, constant=16.0
+            )
 
 
 def test_discrepancy_default_constant_is_sharper_than_16():

@@ -67,7 +67,7 @@ def test_sum_asymptotic_long_even_case():
 
 @pytest.mark.parametrize("q", [1.0, 2.0])
 @pytest.mark.parametrize(
-    "n", [50, 100, 200, 400, pytest.param(800, marks=pytest.mark.slow)]
+    "n", [50, 100, 200, 400, 800]
 )
 def test_sum_asymptotic_suite_within_frozen_bound(n, q):
     rec = check_sum_asymptotic(n, q)
@@ -108,7 +108,7 @@ def test_square_size_degenerate_golden_case():
 
 
 @pytest.mark.parametrize(
-    "n", [51, 101, 201, 401, pytest.param(801, marks=pytest.mark.slow)]
+    "n", [51, 101, 201, 401, 801]
 )
 def test_square_size_suite_within_frozen_bounds(n):
     rec = check_bhu1(n)
