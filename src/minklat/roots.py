@@ -2,9 +2,10 @@
 
 Roots come from a simultaneous Aberth iteration in double precision.  Above
 POLISH_DEGREE_THRESHOLD each is polished to its correctly rounded double:
-Newton steps in long double decide most roots, and 40-digit mpmath Newton the
-rest.  The real/complex split is never trusted on its own: the count of real
-roots must match the exact Sturm count or construction fails.
+a float64 Newton step with a compensated residual decides most roots, and
+40-digit mpmath Newton the rest.  The real/complex split is never trusted on
+its own: the count of real roots must match the exact Sturm count or
+construction fails.
 """
 from __future__ import annotations
 
@@ -123,7 +124,7 @@ def _polish(coeffs: Sequence[int], roots: np.ndarray) -> np.ndarray:
 
     Each root comes out correctly rounded to double, up to the 40-digit
     error. _fast_polish reproduces its output and calls it for the roots
-    where long double cannot decide the rounding.
+    where float64 cannot decide the rounding.
     """
     out = []
     with mpmath.workdps(40):
@@ -142,28 +143,26 @@ def _polish(coeffs: Sequence[int], roots: np.ndarray) -> np.ndarray:
     return np.array(out, dtype=complex)
 
 
-# -- long-double polish ----------------------------------------------------------
+# -- float64 polish --------------------------------------------------------------
 #
-# Two Newton steps in numpy long double bring each Aberth root within a few
-# long-double units of the root, and f at the result, by compensated Horner,
-# bounds that distance.  A component whose rounding to double the bound
-# decides is taken from long double; every other root goes through the mpmath
-# _polish, so the output bytes are the same.
+# One float64 Newton step brings each Aberth root within about an ulp of the
+# root.  At the result z, f by compensated Horner gives the Newton correction
+# delta and a radius about z + delta that holds both the root and _polish's
+# value for it.  A component keeps z's double where that disk decides its
+# rounding; every other root goes through the mpmath _polish, so the output
+# bytes are the same.
 
-# Only x87 extended (64-bit significand) is used: the Dekker split factor
-# 2^32 + 1 and the unit roundoff 2^-64 below are for that format.  Where long
-# double is double, or any other format, every root takes the mpmath path.
-_LONG_DOUBLE_DECIDES = np.finfo(np.longdouble).nmant == 63
-_LD_UNIT = np.longdouble(2.0) ** -64
-_LD_SPLIT = np.longdouble(2.0**32 + 1)
-# Integer coefficients below 2^53 convert to long double exactly.
+_UNIT = 2.0**-53
+# Dekker's split factor for a 53-bit significand, 2^27 + 1.
+_SPLIT = 2.0**27 + 1
+# Where n·max|a_i| < 2^53, the coefficients of f and f' are exact in float64.
 _FAST_COEFF_LIMIT = 2**53
 # _polish runs Newton at 40 digits (136 bits) from the same Aberth point,
-# until its step is below 1e-25·(1 + |z|) or for four steps.  Where long
-# double decides a root, _polish has converged too: to within its Horner
-# error, (4n + 2)·2^-136 times p~(|z|)/|f'(z)|, plus its rounding 2^-136·|z|.
+# until its step is below 1e-25·(1 + |z|) or for four steps.  Where float64
+# decides a root, _polish has converged too: to within its Horner error,
+# (4n + 2)·2^-136 times p~(|z|)/|f'(z)|, plus its rounding 2^-136·|z|.
 # Below degree 2^20 this margin, times |z| + p~(|z|)/|f'(z)|, covers both.
-_MPMATH_MARGIN = np.longdouble(2.0) ** -110
+_MPMATH_MARGIN = 2.0**-110
 
 
 def _two_sum(a, b):
@@ -175,7 +174,7 @@ def _two_sum(a, b):
 
 def _split(a):
     """(h, l) with a = h + l, each half of the significand (Dekker)."""
-    c = _LD_SPLIT * a
+    c = _SPLIT * a
     h = c - (c - a)
     return h, a - h
 
@@ -188,13 +187,14 @@ def _compensated_horner(coeffs: Sequence[int], zr: np.ndarray, zi: np.ndarray):
     summation, dot product and polynomial evaluation in complex floating point
     arithmetic", Inf. Comput. 216, 2012): TwoProduct (Dekker) on the four
     real products of s·z, TwoSum on their sums and on the coefficient, and
-    the errors summed by a plain Horner pass alongside.
+    the errors summed by a plain Horner pass alongside.  The coefficients
+    must be exact in float64.
     """
     # Row 0 of s·zz holds the two products whose sum is re(s·z), row 1 those
     # of im(s·z); the negation sits in zz, where it is exact.
-    zz = np.array([[zr, -zi], [zi, zr]], dtype=np.longdouble)
+    zz = np.array([[zr, -zi], [zi, zr]])
     zh, zl = _split(zz)
-    s = np.zeros((2, zr.size), dtype=np.longdouble)
+    s = np.zeros((2, zr.size))
     s[0] = coeffs[-1]
     c = np.zeros_like(s)
     for a in reversed(coeffs[:-1]):
@@ -203,66 +203,96 @@ def _compensated_horner(coeffs: Sequence[int], zr: np.ndarray, zi: np.ndarray):
         err = sl * zl - (((prod - sh * zh) - sl * zh) - sh * zl)
         s, e = _two_sum(prod[:, 0], prod[:, 1])
         if a:
-            s[0], e0 = _two_sum(s[0], np.longdouble(a))
+            s[0], e0 = _two_sum(s[0], float(a))
             e[0] += e0
         cc = c * zz
         c = (cc[:, 0] + cc[:, 1]) + (e + err[:, 0] + err[:, 1])
     return s[0] + c[0], s[1] + c[1]
 
 
-def _long_double_newton(coeffs: Sequence[int], roots: np.ndarray):
-    """(z, radius): two Newton steps in long double from the Aberth roots.
+def _newton_radius(coeffs: Sequence[int], roots: np.ndarray):
+    """(z, (delta_re, delta_im), radius): one float64 Newton step from the
+    Aberth roots to z, and the Newton correction delta at z.
 
-    Within radius[i] of z[i] lie both the root and _polish's value for it.
+    Within radius[i] of z[i] + delta[i] lie both a root and _polish's value
+    for it.  radius is NaN where that is not established.
     """
     n = len(coeffs) - 1
-    ld_coeffs = [np.longdouble(c) for c in coeffs]
-    d_coeffs = [np.longdouble(i * c) for i, c in enumerate(coeffs)][1:]
-    z = np.asarray(roots, dtype=np.clongdouble)
+    df_coeffs = [float(i * c) for i, c in enumerate(coeffs)][1:]
     with np.errstate(all="ignore"):
-        for _ in range(2):
-            z = z - _horner(ld_coeffs, z) / _horner(d_coeffs, z)
+        fr, fi = _compensated_horner(coeffs, roots.real, roots.imag)
+        z = roots - (fr + 1j * fi) / _horner(df_coeffs, roots)
         fr, fi = _compensated_horner(coeffs, z.real, z.imag)
-        df = _horner(d_coeffs, z)
-        # The error bound.  With u = 2^-64 and g = (4n+2)u / (1 - (4n+2)u),
-        # the compensated residual res obeys |res - f(z)| <= u|f(z)| +
-        # 2 g^2 p~(|z|), p~ the polynomial with coefficients |a_i| (Graillat
-        # and Menissier-Morain, as above).  So |f(z)| <= f_bound, and
-        # |z - root| <= f_bound / |f'(z)| to first order; the factor 2
-        # covers the second-order term and the plain-Horner error of f'(z).
+        df = _horner(df_coeffs, z)
+        # delta = -F/D as -F·conj(D)/|D|^2, F and D the computed f(z), f'(z)
+        dr, di = df.real, df.imag
+        den = dr * dr + di * di
+        delta = (-(fr * dr + fi * di) / den, (fr * di - fi * dr) / den)
+
+        # The radius, with u = 2^-53, g = (4n+2)u / (1 - (4n+2)u), and p~,
+        # p~', p~'' the polynomials with coefficients |a_i|, |i·a_i|,
+        # |i(i-1)·a_i|.
+        # - Compensated Horner (Graillat and Menissier-Morain, as above):
+        #   |F - f(z)| <= u|f(z)| + 2g^2 p~(|z|), so |f(z)| <= f_bound and
+        #   |F - f(z)| <= f_err.
+        # - Plain complex Horner, each product within sqrt(2)·γ_2 and each
+        #   sum within u (Higham, Accuracy and Stability of Numerical
+        #   Algorithms, 2nd ed., Lemma 3.5): |D - f'(z)| <= γ_4(n-1)·p~'(|z|)
+        #   <= df_err.  As p~'(|z|) >= |f'(z)|, df_err > 6u|D|, so a second
+        #   df_err covers the rounding of df_low, a lower bound on |f'(z)|.
+        # - Rouché: r1 bounds |f(z)/f'(z)|, and on the circle |w - z| = 2·r1
+        #   the Taylor remainder is at most p~''(|z| + 2·r1)·(2·r1)^2/2;
+        #   `second` is that over |f'(z)|.  Where second < r1 (tested against
+        #   r1/2 to leave room for rounding), the disk holds exactly one
+        #   root, and it lies within `second` of z - f(z)/f'(z).
+        u = _UNIT
+        g = (4 * n + 2) * u / (1 - (4 * n + 2) * u)
         absz = np.abs(z)
-        tilde = _horner([abs(c) for c in ld_coeffs], absz)
-        g = (4 * n + 2) * _LD_UNIT / (1 - (4 * n + 2) * _LD_UNIT)
-        f_bound = (np.hypot(fr, fi) + 2 * g * g * tilde) / (1 - _LD_UNIT)
-        absdf = np.abs(df)
-        radius = 2 * f_bound / absdf + _MPMATH_MARGIN * (absz + tilde / absdf)
-    return z, radius
+        absf = np.hypot(fr, fi)
+        tilde = _horner([float(abs(c)) for c in coeffs], absz)
+        f_bound = (absf + 2 * g * g * tilde) / (1 - u)
+        f_err = u * f_bound + 2 * g * g * tilde
+        absdf = np.sqrt(den)
+        df_err = g * _horner([abs(c) for c in df_coeffs], absz)
+        df_low = absdf - 2 * df_err
+        r1 = f_bound / df_low
+        dd_tilde = [float(abs(i * (i - 1) * c)) for i, c in enumerate(coeffs)][2:]
+        second = _horner(dd_tilde, absz + 2 * r1) * 2 * r1 * r1 / df_low
+        step = absf / absdf
+        radius = (
+            second
+            + f_err / df_low  # -f(z)/f'(z) against -F/f'(z)
+            + step * df_err / df_low  # -F/f'(z) against -F/D
+            + 8 * u * step  # the rounding of delta, under 6u·|F|/|D|
+            + _MPMATH_MARGIN * (absz + tilde / df_low)  # the root against _polish
+        ) * (1 + 8 * g)  # its own rounding: inputs within a relative g, second 3g
+        ok = np.isfinite(den) & (df_low > 0) & (second < r1 / 2)
+    return z, delta, np.where(ok, radius, np.nan)
 
 
-def _rounding_decided(x: np.ndarray, radius: np.ndarray) -> np.ndarray:
-    """True where every value within radius of x rounds to the same double.
+def _keeps_double(x: np.ndarray, delta: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """True where x + delta ± radius lies strictly inside x's rounding cell.
 
-    The midpoints between a double and its neighbours are exact in long
-    double, and so, away from 0, are x minus them (Sterbenz); NaN compares
-    False.
+    The half-gaps to x's neighbours are exact, or 0 where x is subnormal,
+    which decides nothing.  Rounding is monotone, so the rounded
+    delta ± radius lies on the same side of them as the exact value; NaN
+    compares False.
     """
-    d = x.astype(np.float64)
-    mid_lo = (d + np.nextafter(d, -np.inf).astype(np.longdouble)) / 2
-    mid_hi = (d + np.nextafter(d, np.inf).astype(np.longdouble)) / 2
-    return (x - mid_lo > radius) & (mid_hi - x > radius)
+    hi = (np.nextafter(x, np.inf) - x) / 2
+    lo = (np.nextafter(x, -np.inf) - x) / 2
+    return (delta + radius < hi) & (delta - radius > lo)
 
 
 def _fast_polish(coeffs: Sequence[int], roots: np.ndarray) -> np.ndarray:
     """The output of _polish, with mpmath run only on undecided roots."""
-    if not _LONG_DOUBLE_DECIDES or max(abs(c) for c in coeffs) >= _FAST_COEFF_LIMIT:
+    if (len(coeffs) - 1) * max(abs(c) for c in coeffs) >= _FAST_COEFF_LIMIT:
         return _polish(coeffs, roots)
-    z, radius = _long_double_newton(coeffs, roots)
+    z, (dr, di), radius = _newton_radius(coeffs, roots)
     with np.errstate(invalid="ignore"):
-        decided = _rounding_decided(z.real, radius) & _rounding_decided(z.imag, radius)
-    out = z.astype(complex)
+        decided = _keeps_double(z.real, dr, radius) & _keeps_double(z.imag, di, radius)
     if not decided.all():
-        out[~decided] = _polish(coeffs, roots[~decided])
-    return out
+        z[~decided] = _polish(coeffs, roots[~decided])
+    return z
 
 
 def _log_residual_ok(coeffs: Sequence[int], roots: np.ndarray) -> Tuple[bool, float]:

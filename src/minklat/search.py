@@ -336,7 +336,7 @@ def enumerate_m_lt_one(
     for s, t in signatures:
         st = s + t
         if prune:
-            a1_cap = int(min(math.sqrt(2 * n * st), comb(n, 1) * math.sqrt(2 * st / n)) * WINDOW_SLACK)
+            a1_cap = int(math.sqrt(2 * n * st) * WINDOW_SLACK)
             a1_values = list(range(0, a1_cap + 1))
         else:
             a1_cap = coefficient_bounds(n, st)[0]

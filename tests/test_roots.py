@@ -34,7 +34,7 @@ from minklat.roots import (
     _compensated_horner,
     _fast_polish,
     _locate_roots,
-    _long_double_newton,
+    _newton_radius,
     _sector_bound,
 )
 
@@ -123,7 +123,7 @@ POLISHED = {
 
 
 def _exact(x):
-    # a long double as an mpmath number, without rounding
+    # a double as an mpmath number, without rounding
     num, den = x.as_integer_ratio()
     return mpmath.mpf(num) / den
 
@@ -149,7 +149,7 @@ def test_fast_polish_is_byte_equal_to_mpmath_polish(p, monkeypatch):
     calls = _record_polish_calls(monkeypatch)
     assert _fast_polish(coeffs, start).tobytes() == reference.tobytes()
     sent = np.concatenate(calls)
-    # mpmath leaves a real root an imaginary part of noise, which long double
+    # mpmath leaves a real root an imaginary part of noise, which float64
     # cannot round the same way: every real root must take the fallback
     real = np.abs(reference.imag) < 1e-30
     assert real.sum() == sturm_real_count(p)
@@ -159,47 +159,59 @@ def test_fast_polish_is_byte_equal_to_mpmath_polish(p, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "coeffs, platform_ok",
+    "coeffs, overflow",
     [
-        (truncated_geom(120).coefficients, False),
-        # a coefficient long double might not hold exactly
-        ((-1, 2**53) + (0,) * 99 + (1,), True),
+        # a coefficient at the guard
+        ((-1, 2**53) + (0,) * 99 + (1,), False),
+        # every coefficient below 2^53, but n·max|c| above it: 101·2^47
+        ((-1, 2**47) + (0,) * 99 + (1,), False),
+        # one start where f overflows float64; only that root is guarded
+        (truncated_geom(120).coefficients, True),
     ],
-    ids=["no_x87_long_double", "coefficient_2^53"],
+    ids=["coefficient_2^53", "degree_times_coefficient_2^53", "horner_overflow"],
 )
-def test_guards_send_every_root_to_mpmath(coeffs, platform_ok, monkeypatch):
+def test_guards_send_every_root_to_mpmath(coeffs, overflow, monkeypatch):
     start = _aberth(coeffs)
+    if overflow:
+        start[0] = 1e4 + 1e4j
     reference = roots._polish(coeffs, start)
-    monkeypatch.setattr(roots, "_LONG_DOUBLE_DECIDES", platform_ok)
     calls = _record_polish_calls(monkeypatch)
     assert _fast_polish(coeffs, start).tobytes() == reference.tobytes()
-    assert [c.size for c in calls[1:]] == [len(coeffs) - 1]
+    guarded = start[:1] if overflow else start
+    assert np.isin(guarded, np.concatenate(calls)).all()
 
 
 @pytest.mark.parametrize("p", POLISHED.values(), ids=POLISHED.keys())
 def test_long_double_radius_bounds_distance_to_root(p):
-    # one 30-digit Newton step from z gives z's distance to the root to
-    # about 1e-30, far below the radius of about 1e-19
-    z, radius = _long_double_newton(p.coefficients, _aberth(p.coefficients))
-    with mpmath.workdps(30):
-        cs = [mpmath.mpf(c) for c in p.coefficients]
-        for zk, rk in zip(z, radius):
-            f, df = _horner_with_derivative(cs, mpmath.mpc(_exact(zk.real), _exact(zk.imag)))
-            assert abs(f / df) <= _exact(rk)
+    # one 30-digit Newton step from z + delta gives its distance to the root
+    # to about 1e-30, below the radius of 1e-28 to 3e-25; from starts 1e-6
+    # off the Aberth roots, the second-order term makes most of the radius
+    aberth = _aberth(p.coefficients)
+    cs = [mpmath.mpf(c) for c in p.coefficients]
+    for start in (aberth, aberth * (1 + 5e-7 + 5e-7j)):
+        z, (dr, di), radius = _newton_radius(p.coefficients, start)
+        assert np.isfinite(radius).all()
+        with mpmath.workdps(30):
+            for zk, drk, dik, rk in zip(z, dr, di, radius):
+                w = mpmath.mpc(
+                    _exact(zk.real) + _exact(drk), _exact(zk.imag) + _exact(dik)
+                )
+                f, df = _horner_with_derivative(cs, w)
+                assert abs(f / df) <= _exact(rk)
 
 
 def test_compensated_horner_within_its_bound():
-    # (x^2 - 2x + 2)^6 near its 6-fold roots 1 +- i: plain long-double Horner
-    # is off by about 1e15 times the bound there
+    # (x^2 - 2x + 2)^6 near its 6-fold roots 1 +- i: plain float64 Horner is
+    # off by about 5e11 times the bound there
     p = IntPolynomial((1,))
     for _ in range(6):
         p = p * IntPolynomial((2, -2, 1))
     n = p.degree
     offsets = np.linspace(-1e-3, 1e-3, 9)
-    zr = np.repeat(1 + offsets, offsets.size).astype(np.longdouble)
-    zi = np.tile(1 + offsets, offsets.size).astype(np.longdouble)
+    zr = np.repeat(1 + offsets, offsets.size)
+    zi = np.tile(1 + offsets, offsets.size)
     fr, fi = _compensated_horner(p.coefficients, zr, zi)
-    u = mpmath.mpf(2) ** -64
+    u = mpmath.mpf(2) ** -53
     g = (4 * n + 2) * u / (1 - (4 * n + 2) * u)
     with mpmath.workdps(60):
         cs = [mpmath.mpf(c) for c in p.coefficients]
