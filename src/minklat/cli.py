@@ -40,8 +40,7 @@ from .measures import (
 )
 from .roots import (
     InconclusiveError,
-    _locate_roots,
-    _sector_bound,
+    erdos_turan_check,
     find_roots,
     multinacci_location_check,
     pisot_check,
@@ -342,9 +341,8 @@ def family(kind: str, n: int, fmt: str, precision: int) -> None:
         elif kind == "cofactor":
             p = multinacci_cofactor(n)
             k = max(1, math.isqrt(math.isqrt(n)))
-            located = _locate_roots(p, polish=False)
             holds = all(
-                _sector_bound(p, located, math.pi * j / k, math.pi * (j + 1) / k).holds
+                erdos_turan_check(p, math.pi * j / k, math.pi * (j + 1) / k).holds
                 for j in range(2 * k)
             )
             checks = {"sector_bound_holds": holds, "sectors": 2 * k}

@@ -308,15 +308,26 @@ def _log_residual_ok(coeffs: Sequence[int], roots: np.ndarray) -> Tuple[bool, fl
     return bool(np.all(lhs <= rhs)), float(np.max(absp))
 
 
+@lru_cache(maxsize=512)
+def _aberth_roots(coeffs: Tuple[int, ...]) -> np.ndarray:
+    """_aberth's roots, located once per polynomial and shared by every
+    caller, so read-only.  _aberth itself stays uncached: its callers get a
+    fresh array they may write."""
+    roots = _aberth(coeffs)
+    roots.setflags(write=False)
+    return roots
+
+
 def _locate_roots(p: IntPolynomial, polish: Optional[bool] = None) -> np.ndarray:
     """Raw root multiset for any polynomial with a nonzero leading coefficient.
 
     No irreducibility or squarefreeness requirement; used for sector counting
-    where only the arguments matter.
+    where only the arguments matter.  Unpolished, it is the read-only array
+    of _aberth_roots.
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1")
-    roots = _aberth(p.coefficients)
+    roots = _aberth_roots(p.coefficients)
     if polish is None:
         polish = p.degree > POLISH_DEGREE_THRESHOLD
     if polish:
@@ -419,25 +430,16 @@ def erdos_turan_check(
 
     lhs = |N(phi,psi) - (psi-phi)/(2pi) * d|
     rhs = constant * sqrt(d * log(L / sqrt(|a_d * a_0|))), L = sum |a_i|.
+
+    N counts the unpolished Aberth roots, located once per polynomial in a
+    bounded cache, so every sector and constant on p shares one Aberth run.
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1")
     if p.constant_term == 0 or p.leading_coefficient == 0:
         raise ValueError("nonzero constant and leading coefficients required")
-    return _sector_bound(p, _locate_roots(p, polish=False), phi, psi, constant)
-
-
-def _sector_bound(
-    p: IntPolynomial,
-    roots: np.ndarray,
-    phi: float,
-    psi: float,
-    constant: float = ERDOS_TURAN_DEFAULT,
-) -> SectorBoundResult:
-    """erdos_turan_check on the unpolished roots of p, located once by the
-    caller, so that one root set serves every sector and constant."""
     d = p.degree
-    n_sector = sector_count(list(roots), phi, psi)
+    n_sector = sector_count(_locate_roots(p, polish=False), phi, psi)
     lhs = abs(n_sector - (psi - phi) / (2.0 * math.pi) * d)
     length = float(sum(abs(c) for c in p.coefficients))
     ends = abs(p.leading_coefficient * p.constant_term)

@@ -20,6 +20,7 @@ from minklat.intpoly import (
     truncated_geom,
 )
 from minklat import roots
+from minklat.constants import ERDOS_TURAN_CLASSICAL, ERDOS_TURAN_DEFAULT
 from minklat.roots import (
     ConjugateSet,
     InconclusiveError,
@@ -35,8 +36,8 @@ from minklat.roots import (
     _fast_polish,
     _locate_roots,
     _newton_radius,
-    _sector_bound,
 )
+from minklat.verify import check_erdos_turan_suite
 
 
 def P(text):
@@ -271,16 +272,50 @@ def test_discrepancy_bound_cofactor_family():
     for n in (10, 100, 400):
         p = multinacci_cofactor(n)
         k = int((n + 0.0) ** 0.25)
-        located = _locate_roots(p, polish=False)
+        fresh = _aberth(p.coefficients)
         for j in range(2 * k):
             phi, psi = math.pi * j / k, math.pi * (j + 1) / k
             r = erdos_turan_check(p, phi, psi)
             assert r.holds, (n, j)
-            # one root set serves every sector and constant
-            assert _sector_bound(p, located, phi, psi) == r
-            assert _sector_bound(p, located, phi, psi, 16.0) == erdos_turan_check(
-                p, phi, psi, constant=16.0
-            )
+            # the cached root set counts as a fresh Aberth run does
+            assert r.sector_roots == sector_count(fresh, phi, psi)
+            loose = erdos_turan_check(p, phi, psi, constant=16.0)
+            assert loose.sector_roots == r.sector_roots
+
+
+def test_aberth_runs_once_per_polynomial(monkeypatch):
+    # a spy on roots._aberth, from a cold root-set cache
+    calls = []
+    reference_aberth = roots._aberth
+
+    def spy(cs):
+        calls.append(tuple(cs))
+        return reference_aberth(cs)
+
+    monkeypatch.setattr(roots, "_aberth", spy)
+    roots._aberth_roots.cache_clear()
+    p = multinacci_cofactor(400)
+    k = 4  # floor(400^(1/4))
+    for j in range(2 * k):
+        phi, psi = math.pi * j / k, math.pi * (j + 1) / k
+        for constant in (ERDOS_TURAN_CLASSICAL, ERDOS_TURAN_DEFAULT):
+            assert erdos_turan_check(p, phi, psi, constant).holds
+    assert calls == [p.coefficients]
+
+    calls.clear()
+    roots._aberth_roots.cache_clear()
+    check_erdos_turan_suite([100, 200])
+    assert calls == [multinacci_cofactor(n).coefficients for n in (100, 200)]
+
+
+def test_cached_root_set_is_read_only_and_aberth_fresh():
+    p = multinacci_cofactor(10)
+    with pytest.raises(ValueError):
+        _locate_roots(p, polish=False)[0] = 0
+    first, second = _aberth(p.coefficients), _aberth(p.coefficients)
+    assert not np.shares_memory(first, second)
+    first[0] = 0
+    assert _aberth(p.coefficients).tobytes() == second.tobytes()
 
 
 def test_discrepancy_default_constant_is_sharper_than_16():
