@@ -573,13 +573,119 @@ def _monicize(p: IntPolynomial) -> IntPolynomial:
     )
 
 
+# Primes for the factor-degree sets; a prime where the polynomial is not
+# squarefree is skipped, and the loop stops once no size survives.
+_DEGREE_SET_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def _divmod_mod_p(a: Sequence[int], b: Sequence[int], prime: int):
+    """Quotient and remainder over F_p of dense lists (constant first).
+
+    b has no trailing zero. Results are reduced mod p and trimmed.
+    """
+    r = [c % prime for c in a]
+    db = len(b) - 1
+    inv = pow(b[-1], -1, prime)
+    q = [0] * max(len(r) - db, 0)
+    for k in range(len(r) - 1, db - 1, -1):
+        c = r[k] * inv % prime
+        if c:
+            q[k - db] = c
+            for i in range(db):
+                r[k - db + i] = (r[k - db + i] - c * b[i]) % prime
+    r = r[:db]
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r
+
+
+def _mulmod_p(a: Sequence[int], b: Sequence[int], f: Sequence[int], prime: int) -> list:
+    """a * b mod f over F_p."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return _divmod_mod_p(out, f, prime)[1]
+
+
+def _gcd_mod_p(a: Sequence[int], b: Sequence[int], prime: int) -> list:
+    """Monic gcd over F_p; a must be nonzero."""
+    while b:
+        a, b = b, _divmod_mod_p(a, b, prime)[1]
+    inv = pow(a[-1], -1, prime)
+    return [c * inv % prime for c in a]
+
+
+def _factor_degrees_mod_p(f: Sequence[int], prime: int) -> Optional[list]:
+    """Degrees of the irreducible factors of monic f over F_p, or None when
+    f is not squarefree mod p (distinct-degree factorization)."""
+    f = [c % prime for c in f]
+    df = [i * c % prime for i, c in enumerate(f)][1:]
+    while df and df[-1] == 0:
+        df.pop()
+    if not df or len(_gcd_mod_p(f, df, prime)) > 1:
+        return None
+    degrees = []
+    g, h, d = f, [0, 1], 0  # h = x^(p^d) mod g
+    while 2 * (d + 1) <= len(g) - 1:
+        d += 1
+        power, h = h, [1]
+        for bit in bin(prime)[2:]:
+            h = _mulmod_p(h, h, g, prime)
+            if bit == "1":
+                h = _mulmod_p(h, power, g, prime)
+        # the product of the degree-d factors is gcd(g, x^(p^d) - x)
+        shifted = h + [0] * (2 - len(h))
+        shifted[1] = (shifted[1] - 1) % prime
+        while shifted and shifted[-1] == 0:
+            shifted.pop()
+        t = _gcd_mod_p(g, shifted, prime)
+        if len(t) > 1:
+            degrees += [d] * ((len(t) - 1) // d)
+            g = _divmod_mod_p(g, t, prime)[0]
+            h = _divmod_mod_p(h, g, prime)[1]
+    if len(g) > 1:
+        degrees.append(len(g) - 1)  # what is left has no factor of degree <= d
+    return degrees
+
+
+def _factor_degree_sizes(work: IntPolynomial) -> list:
+    """Sizes k, 2 <= k <= n/2, that a monic factor of work over Z may have.
+
+    A factor over Z reduces mod p to a product of factors over F_p, so its
+    degree is a sum of some of the mod-p factor degrees, for every prime p
+    where work stays squarefree. Degree 1 is left out: the caller has ruled
+    out rational roots. An empty list proves work irreducible.
+    """
+    n = work.degree
+    sizes = set(range(2, n // 2 + 1))
+    for prime in _DEGREE_SET_PRIMES:
+        if not sizes:
+            break
+        degrees = _factor_degrees_mod_p(work.coefficients, prime)
+        if degrees is None:
+            continue
+        sums = {0}
+        for d in degrees:
+            sums |= {s + d for s in sums}
+        sizes &= sums
+    return sorted(sizes)
+
+
 def is_irreducible(p: IntPolynomial, return_witness: bool = False):
     """Irreducibility over Q of a nonconstant primitive integer polynomial.
 
-    Candidate factors are reconstructed from subsets of high-precision complex
-    roots by rounding elementary symmetric functions; exact integer division
-    is the certificate in both directions, so the floating step only proposes.
-    With return_witness=True the result is (verdict, factor-or-None).
+    Exact stages run first: rational roots, the gcd with the derivative, and
+    a degree of at most 3. The monic form is then factored by degree over a
+    few small primes (``_factor_degree_sizes``); a factor over Z has a degree
+    that every prime allows, so when no size from 2 to n/2 survives, p is
+    irreducible. Otherwise candidate factors of the surviving sizes are
+    reconstructed from subsets of high-precision complex roots by rounding
+    elementary symmetric functions; exact integer division is the
+    certificate, so the floating step only proposes, and the witness is the
+    same one that trying every size would give. With return_witness=True
+    the result is (verdict, factor-or-None).
     """
     if p.degree < 1:
         raise ValueError("irreducibility undefined for constant polynomials")
@@ -605,6 +711,9 @@ def is_irreducible(p: IntPolynomial, return_witness: bool = False):
         return result(True)
 
     work = p if p.is_monic else _monicize(p)
+    sizes = _factor_degree_sizes(work)
+    if not sizes:
+        return result(True)
     n = work.degree
     max_root = 1.0 + max(abs(c) for c in work.coefficients)  # Cauchy bound
     # symmetric functions of k roots stay below binom(k, k/2) * max_root^k;
@@ -616,7 +725,7 @@ def is_irreducible(p: IntPolynomial, return_witness: bool = False):
             roots = mpmath.polyroots(monic_coeffs, maxsteps=200, extraprec=120)
         except mpmath.libmp.NoConvergence:
             roots = mpmath.polyroots(monic_coeffs, maxsteps=1000, extraprec=400)
-        witness = _find_factor(work, roots, n)
+        witness = _find_factor(work, roots, sizes)
     if witness is None:
         return result(True)
     if p.is_monic:
@@ -645,11 +754,13 @@ def is_irreducible_of_signature(p: IntPolynomial, s: int) -> bool:
     return is_irreducible(p)
 
 
-def _find_factor(work: IntPolynomial, roots, n: int) -> Optional[IntPolynomial]:
+def _find_factor(work: IntPolynomial, roots, sizes) -> Optional[IntPolynomial]:
+    """First monic factor of work, by size in ``sizes`` then subset order."""
     from itertools import combinations
 
+    n = work.degree
     tol = mpmath.mpf("0.125")
-    for k in range(2, n // 2 + 1):
+    for k in sizes:
         index_pools = combinations(range(n), k)
         if 2 * k == n:
             # complementary subsets give the complementary factor; fix root 0

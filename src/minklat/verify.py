@@ -50,8 +50,10 @@ from .search import (
 
 LOG2 = math.log(2.0)
 
-# Subset-reconstruction irreducibility is exact but only practical to degree
-# 12; above it, family irreducibility is flagged as assumed, not certified.
+# Family irreducibility is certified through degree 12 and flagged as assumed
+# above it. The mod-p degree sets in is_irreducible reach further, but the
+# threshold stays for now: raising it changes report bytes, and the stage
+# takes about 0.3 s on even_spread(102), which would slow the family checks.
 CERTIFIED_IRREDUCIBILITY_DEGREE = 12
 
 # Frozen regression bounds for the scaled residuals.  Reference-run worst

@@ -4,12 +4,16 @@ Sylvester determinant oracle and hand checks; they are frozen as literals.
 """
 import math
 from fractions import Fraction
+from itertools import product
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from minklat.intpoly import (
     IntPolynomial,
+    _factor_degree_sizes,
+    _factor_degrees_mod_p,
     discriminant,
     divmod_exact,
     even_spread,
@@ -428,12 +432,91 @@ def test_irreducibility_matches_trial_division_monic_quartics(tail):
     assert is_irreducible(p) == (not _oracle_reducible(p)), p
 
 
+def test_irreducibility_matches_trial_division_all_small_monic_quartics():
+    for tail in product(range(-2, 3), repeat=4):
+        p = IntPolynomial(tail + (1,))
+        assert is_irreducible(p) == (not _oracle_reducible(p)), p
+
+
 @given(st.integers(2, 11))
 @settings(max_examples=20, deadline=None)
 def test_multinacci_family_irreducible(n):
-    # subset reconstruction is exponential in the degree; stay in its
-    # practical range (larger family members carry an assumed flag upstream)
+    # the mod-p degree sets decide these; upstream, family members above
+    # degree 12 keep the assumed flag, because certifying them would change
+    # report bytes and the stage takes about 0.3 s on even_spread(102)
     assert is_irreducible(multinacci(n)) is True
+
+
+@pytest.fixture
+def polyroots_calls(monkeypatch):
+    """Record every mpmath.polyroots call, i.e. every root reconstruction."""
+    calls = []
+    original = mpmath.polyroots
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mpmath, "polyroots", spy)
+    return calls
+
+
+def test_degree_sets_decide_family_members(polyroots_calls):
+    members = [root_power(4), even_spread(10)]
+    members += [multinacci(n) for n in range(2, 31)]
+    for p in members:
+        assert is_irreducible(p) is True, p
+    assert polyroots_calls == []
+
+
+def test_factor_degrees_mod_p_known_factorizations():
+    # x^5+x+1 = (x^2+x+1)(x^3+x^2+1) mod 2; x^2+1 stays irreducible mod 3;
+    # x^4+x^2+1 = (x-2)(x-3)(x-4)(x-5) mod 7
+    assert sorted(_factor_degrees_mod_p(P("x^5+x+1").coefficients, 2)) == [2, 3]
+    assert _factor_degrees_mod_p(P("x^2+1").coefficients, 3) == [2]
+    assert _factor_degrees_mod_p(P("x^4+x^2+1").coefficients, 7) == [1, 1, 1, 1]
+    # not squarefree: x^4+1 = (x+1)^4 mod 2, and 1 is a double root of
+    # x^5+x+1 mod 3
+    assert _factor_degrees_mod_p(P("x^4+1").coefficients, 2) is None
+    assert _factor_degrees_mod_p(P("x^5+x+1").coefficients, 3) is None
+
+
+def test_factor_left_over_by_the_degree_loop_keeps_its_size():
+    # mod 17 the cubic stays irreducible and the quartic splits into two
+    # quadratics, so the cubic is what the distinct-degree loop leaves over
+    cubic = P("x^3+x^2-2x-1")
+    f = cubic * P("x^4+2x^2+2")
+    assert sorted(_factor_degrees_mod_p(f.coefficients, 17)) == [2, 2, 3]
+    assert _factor_degree_sizes(f) == [3]
+    verdict, factor = is_irreducible(f, return_witness=True)
+    assert verdict is False
+    assert factor == cubic
+
+
+@pytest.mark.parametrize("text", ["x^4+1", "x^4-10x^2+1"])
+def test_irreducible_that_splits_mod_every_prime_falls_through(text, polyroots_calls):
+    # both are irreducible over Q, but split mod every prime into factors of
+    # degree at most 2, so size 2 survives and root reconstruction decides
+    assert _factor_degree_sizes(P(text)) == [2]
+    assert is_irreducible(P(text)) is True
+    assert len(polyroots_calls) == 1
+
+
+@pytest.mark.parametrize(
+    "text, witness",
+    [
+        ("x^5+x+1", "x^2+x+1"),
+        ("x^6-x^4+2x^2-1", "x^3-x^2+1"),
+        ("x^6+x^4+x^3+x^2-1", "x^2+x+1"),
+    ],
+)
+def test_reducible_search_candidates_keep_their_witness(text, witness):
+    # reducible candidates of the degree-5 and degree-6 searches, with the
+    # witnesses that trying every subset size gives
+    assert _factor_degree_sizes(P(text)) != []
+    verdict, factor = is_irreducible(P(text), return_witness=True)
+    assert verdict is False
+    assert factor == P(witness)
 
 
 def test_totally_real_irreducible_all_monic_cubics():
