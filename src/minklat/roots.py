@@ -116,6 +116,17 @@ def _aberth(coeffs: Sequence[int]) -> np.ndarray:
         z = z - w
         if np.max(np.abs(w) / (1.0 + np.abs(z))) < 1e-14:
             return z
+    # The step can stall at the rounding floor above 1e-14, as on
+    # (x-1)...(x-6) +- 1.  Keep the last iterate where each computed |f(z_i)|
+    # is within the complex Horner error bound g·p~(|z_i|), p~ with
+    # coefficients |a_i| (Higham, Accuracy and Stability of Numerical
+    # Algorithms, 2nd ed., §5.1 and Lemma 3.5): z_i is then an exact root of
+    # f with each a_i moved by at most a relative 2g.
+    g = (4 * n + 2) * _UNIT / (1 - (4 * n + 2) * _UNIT)
+    with np.errstate(all="ignore"):
+        bound = g * _horner([abs(c) for c in cf], np.abs(z))
+        if np.all(np.abs(_horner(cf, z)) <= bound) and np.all(np.isfinite(bound)):
+            return z
     raise RootFindingError("root finding failed")
 
 
@@ -341,11 +352,7 @@ def _find_roots_cached(coeffs: Tuple[int, ...]) -> ConjugateSet:
     roots = _locate_roots(p)
     ok, max_resid = _log_residual_ok(coeffs, roots)
     if not ok:
-        # one more polish round before giving up
-        roots = _polish(coeffs, roots)
-        ok, max_resid = _log_residual_ok(coeffs, roots)
-        if not ok:
-            raise RootFindingError("root finding failed")
+        raise RootFindingError("root finding failed")
 
     reals = []
     complexes = []

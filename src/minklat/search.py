@@ -20,6 +20,9 @@ above eigenvalue error at these degrees. The raw box passes through the same
 prescreen, so pruned and unpruned runs agreeing at degrees 3 and 4 validates
 the walk's prunes. Survivors face the exact stage: the Sturm count decides
 the signature, then certified irreducibility, then the size profile's m.
+
+The same walker, with its own ball, lists the candidates of the totally real
+scans too: subelement_scan and verify.check_smyth.
 """
 from __future__ import annotations
 
@@ -70,46 +73,64 @@ def _mirror_coeffs(coeffs: Sequence[int]) -> Tuple[int, ...]:
     return tuple(-a if k % 2 else a for k, a in enumerate(coeffs, start=1))
 
 
-def _is_canonical(coeffs: Sequence[int]) -> bool:
-    for k, a in enumerate(coeffs, start=1):
-        if k % 2 and a:
-            return a > 0
-    return True
-
-
 def _walk_pruned(
-    n: int, s: int, t: int, a1_values: Iterable[int]
+    n: int,
+    a1_values: Optional[Iterable[int]],
+    rho: float,
+    totally_real: bool,
+    unit_constant: bool,
 ) -> List[Tuple[int, ...]]:
-    """Newton-window generation of canonical candidates with a_n = +-1."""
-    st = s + t
-    bound = [0.0] * (2 * n + 1)
-    bound[1] = math.sqrt(2 * n * st) * WINDOW_SLACK
+    """Canonical candidates (a_1..a_n), one per mirror orbit, of the
+    Newton-window walk of the ball sum |alpha_i|^2 <= rho.
+
+    The search passes rho = 2(s+t) and a_n = +-1 (unit_constant);
+    check_smyth (rho = 3n/2) and subelement_scan (rho = bound/w_min) pass
+    totally_real, which holds the even p_k in [0, rho^(k/2)), and take any
+    nonzero a_n of its window.  a1_values=None walks every a_1 >= 0.
+    """
+    upper = [0.0] * (2 * n + 1)
+    upper[1] = math.sqrt(n * rho) * WINDOW_SLACK
     for k in range(2, 2 * n + 1):
-        bound[k] = (2 * st) ** (k / 2) * WINDOW_SLACK
-    mac = [int(comb(n, i) * (2 * st / n) ** (i / 2) * WINDOW_SLACK) for i in range(n + 1)]
+        upper[k] = rho ** (k / 2) * WINDOW_SLACK
+    # The windows admit lower[k] <= p_k <= upper[k]; an even p_k of real
+    # roots is an integer >= 0, and -1/2 lets 0 through.  The leaf tests
+    # |p_k| < upper[k], one comparison in the hot loop, and checks the even
+    # p_k >= 0 of real roots only on a leaf that passes.
+    lower = [-b for b in upper]
+    if totally_real:
+        lower[2::2] = [-0.5] * n
+    even_tail = range(n + n % 2, 2 * n + 1, 2)
+    mac = [int(comb(n, i) * (rho / n) ** (i / 2) * WINDOW_SLACK) for i in range(n + 1)]
     out: List[Tuple[int, ...]] = []
     a = [0] * (n + 1)  # a[k] multiplies x^(n-k); a[0] unused
     p = [0] * (2 * n + 1)
 
     def emit_leaf(sym_open: bool):
-        # leaf: a_n restricted to +-1; +1 only if the orbit is still open
-        # and n is odd (an odd-index sign choice would otherwise duplicate)
-        choices = (1,) if (sym_open and n % 2) else (-1, 1)
+        # a_n at odd n is the orbit's last sign choice: with the orbit still
+        # open, only a_n > 0 is canonical
         center = -sum(a[i] * p[n - i] for i in range(1, n))
+        if unit_constant:
+            choices = (1,) if (sym_open and n % 2) else (-1, 1)
+        else:
+            lo = max(math.ceil((center - upper[n]) / n), -mac[n])
+            hi = min(math.floor((center - lower[n]) / n), mac[n])
+            if sym_open and n % 2:
+                lo = max(lo, 1)
+            choices = [an for an in range(lo, hi + 1) if an]
         for an in choices:
             pn = center - n * an
-            if abs(pn) >= bound[n]:
+            if abs(pn) >= upper[n]:
                 continue
             a[n] = an
             p[n] = pn
             ok = True
             for k in range(n + 1, 2 * n + 1):
                 pk = -sum(a[i] * p[k - i] for i in range(1, n + 1))
-                if abs(pk) >= bound[k]:
+                if abs(pk) >= upper[k]:
                     ok = False
                     break
                 p[k] = pk
-            if ok:
+            if ok and (not totally_real or all(p[k] >= 0 for k in even_tail)):
                 f_at_1 = 1 + sum(a[1:])
                 f_at_m1 = (-1) ** n + sum(
                     a[i] * (-1) ** (n - i) for i in range(1, n + 1)
@@ -123,8 +144,8 @@ def _walk_pruned(
             emit_leaf(sym_open)
             return
         center = -sum(a[i] * p[k - i] for i in range(1, k))
-        lo = math.ceil((center - bound[k]) / k)
-        hi = math.floor((center + bound[k]) / k)
+        lo = math.ceil((center - upper[k]) / k)
+        hi = math.floor((center - lower[k]) / k)
         lo = max(lo, -mac[k])
         hi = min(hi, mac[k])
         odd = k % 2 == 1
@@ -136,7 +157,9 @@ def _walk_pruned(
             walk(k + 1, sym_open and not (odd and ak))
         a[k] = 0
 
-    a1_bound = min(bound[1], mac[1])
+    a1_bound = min(upper[1], mac[1])
+    if a1_values is None:
+        a1_values = range(int(a1_bound) + 1)
     for a1 in a1_values:
         if abs(a1) > a1_bound or a1 < 0:
             continue
@@ -259,7 +282,7 @@ def _scan_signature_range(
     n: int, s: int, t: int, a1_values: Sequence[int], prune: bool
 ) -> dict:
     if prune:
-        generated = _walk_pruned(n, s, t, a1_values)
+        generated = _walk_pruned(n, a1_values, 2 * (s + t), False, True)
     else:
         generated = _walk_raw(n, s + t, a1_values)
     survivors = _prescreen(generated, n, s + t)
@@ -397,18 +420,18 @@ def subelement_scan(
     degree whose weighted conjugate-square sum could undercut bound_sq.
 
     The minimum of sum w_i x_(pi(i))^2 over assignments pairs the largest
-    weights with the smallest squares (rearrangement), and any undercutting
-    element has all |roots| < sqrt(bound_sq), which yields the finite
-    coefficient box. Returns violators; an empty list is the verification.
+    weights with the smallest squares (rearrangement), and it is at least
+    w_min * p_2, so any undercutting element has p_2 < bound_sq / w_min: the
+    Newton-window walk of that totally real ball is the finite candidate
+    set. Returns violators; an empty list is the verification.
     """
     if degree not in (2, 3) or len(weights) != degree or any(w < 1 for w in weights):
         raise ValueError("unsupported subelement pattern")
     if bound_sq != int(bound_sq) or bound_sq < 1:
         raise ValueError("unsupported subelement pattern")
-    box = [_strict_below(comb(degree, i), int(bound_sq), i) for i in range(1, degree + 1)]
     w_desc = sorted(weights, reverse=True)
     violators: List[IntPolynomial] = []
-    for coeffs in product(*(range(-b, b + 1) for b in box)):
+    for coeffs in _walk_pruned(degree, None, bound_sq / w_desc[-1], True, False):
         poly = _to_polynomial(coeffs, degree)
         if not is_irreducible_of_signature(poly, degree):
             continue
@@ -416,5 +439,7 @@ def subelement_scan(
         squares = sorted(r * r for r in roots.real_roots)
         weighted = sum(w * sq for w, sq in zip(w_desc, squares))
         if weighted < bound_sq - 1e-9:
-            violators.append(poly)
+            # the mirror's roots are the negatives, with the same squares
+            mirrors = sorted({coeffs, _mirror_coeffs(coeffs)})
+            violators.extend(_to_polynomial(c, degree) for c in mirrors)
     return violators

@@ -14,8 +14,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from itertools import product
-from math import comb, isqrt
+from math import isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .constants import (
@@ -43,8 +42,9 @@ from .measures import (
 from .roots import InconclusiveError, erdos_turan_check, find_roots
 from .search import (
     SearchReport,
+    _mirror_coeffs,
     _to_polynomial,
-    coefficient_bounds,
+    _walk_pruned,
     enumerate_m_lt_one,
 )
 
@@ -506,48 +506,13 @@ def check_erdos_turan_suite(
     return records
 
 
-def _maclaurin_cap(n: int, k: int, p2: int) -> int:
-    # largest u >= 0 with u^2 * n^k <= C(n,k)^2 * p2^k; |e_k| of any real
-    # point set with power sum p2 obeys this by Maclaurin on absolute values
-    rhs = comb(n, k) ** 2 * p2 ** k
-    nk = n ** k
-    u = isqrt(rhs // nk)
-    while (u + 1) ** 2 * nk <= rhs:
-        u += 1
-    while u > 0 and u * u * nk > rhs:
-        u -= 1
-    return u
-
-
-def _totally_real_candidates(n: int) -> List[Tuple[int, ...]]:
-    # Coefficient vectors (a_1..a_n) that could be totally real with trace
-    # form p2 = a_1^2 - 2 a_2 at most 3n/2.  The outer box is the full
-    # universe for s + t = n; inside it only the exact constraints
-    # p2 >= n (AM-GM with |norm| >= 1), p1^2 <= n p2 (Cauchy-Schwarz) and
-    # the Maclaurin caps given p2 are applied, so no totally real
-    # polynomial with small trace form is lost.
-    outer = coefficient_bounds(n, n)
-    found: List[Tuple[int, ...]] = []
-    for p2 in range(n, (3 * n) // 2 + 1):
-        caps = [min(outer[k - 1], _maclaurin_cap(n, k, p2)) for k in range(1, n + 1)]
-        tails = list(product(*(range(-cap, cap + 1) for cap in caps[2:])))
-        a1_cap = min(caps[0], isqrt(n * p2))
-        for a1 in range(-a1_cap, a1_cap + 1):
-            if (a1 * a1 - p2) % 2:
-                continue
-            a2 = (a1 * a1 - p2) // 2
-            if abs(a2) > caps[1]:
-                continue
-            # the constant term a_n is nonzero
-            found.extend(c for c in ((a1, a2) + tail for tail in tails) if c[-1])
-    return sorted(set(found))
-
-
 def check_smyth(max_degree: int = 5) -> CheckRecord:
     """Trace-form floor for totally real algebraic integers: every totally
-    real irreducible monic polynomial of degree n in the coefficient box has
-    p2 = a_1^2 - 2 a_2 at least 3n/2, with equality exactly for x^2+x-1 and
-    x^2-x-1.
+    real irreducible monic polynomial of degree n has p2 = a_1^2 - 2 a_2 at
+    least 3n/2, with equality exactly for x^2+x-1 and x^2-x-1.
+
+    The candidates are the Newton-window walk of the totally real ball
+    p2 <= 3n/2 and the mirror of each; ``scanned`` counts them.
     """
     if not 2 <= max_degree <= 5:
         raise ValueError("scan supports degrees 2 through 5")
@@ -555,17 +520,18 @@ def check_smyth(max_degree: int = 5) -> CheckRecord:
     equality: List[str] = []
     scanned = 0
     for n in range(2, max_degree + 1):
-        cands = _totally_real_candidates(n)
-        scanned += len(cands)
-        for coeffs in cands:
-            poly = _to_polynomial(coeffs, n)
-            if not is_irreducible_of_signature(poly, n):
+        for coeffs in _walk_pruned(n, None, 1.5 * n, True, False):
+            # the mirror's roots are the negatives: same verdict, same p2
+            members = sorted({coeffs, _mirror_coeffs(coeffs)})
+            scanned += len(members)
+            if not is_irreducible_of_signature(_to_polynomial(coeffs, n), n):
                 continue
             p2 = coeffs[0] * coeffs[0] - 2 * coeffs[1]
+            texts = [_to_polynomial(c, n).to_text() for c in members]
             if 2 * p2 < 3 * n:
-                violators.append(poly.to_text())
+                violators.extend(texts)
             elif 2 * p2 == 3 * n:
-                equality.append(poly.to_text())
+                equality.extend(texts)
     equality.sort()
     ok = not violators and equality == ["x^2+x-1", "x^2-x-1"]
     return CheckRecord(

@@ -371,7 +371,8 @@ def test_criterion_10_subelement_boxes():
         assert subelement_scan(4.0, 3, (2, 1, 1)) == []
         assert subelement_scan(5.0, 3, (2, 2, 1)) == []
         parts.append(
-            "subelement scans: quartic box and both cubic boxes"
-            " (|a|<=5,|b|<=11,|c|<=7 and |a|<=6,|b|<=14,|c|<=11) contain no"
-            " violators of the weighted square-sum floors"
+            "subelement scans: the Newton-window walks of the quartic case and"
+            " both cubic cases, inside the boxes (|a|<=5,|b|<=11,|c|<=7 and"
+            " |a|<=6,|b|<=14,|c|<=11), hold no violators of the weighted"
+            " square-sum floors"
         )

@@ -112,6 +112,31 @@ def test_signature_matches_sturm_for_irreducibles(p):
         assert z.imag > 0
 
 
+def _shifted_factorial(n, e):
+    # (x-1)(x-2)...(x-n) + e
+    p = IntPolynomial((1,))
+    for k in range(1, n + 1):
+        p = p * IntPolynomial((-k, 1))
+    return p + IntPolynomial((e,))
+
+
+@pytest.mark.parametrize("e", [1, -1])
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_stalled_aberth_keeps_backward_stable_roots(n, e):
+    # Aberth converges here within a dozen steps, then its relative step
+    # stalls near 5e-14, above the 1e-14 stop, until the iterations run out
+    p = _shifted_factorial(n, e)
+    assert is_irreducible(p)
+    cs = find_roots(p)
+    assert cs.signature == (sturm_real_count(p), 0) == (n, 0)
+
+
+def test_aberth_still_raises_without_backward_stable_roots(monkeypatch):
+    monkeypatch.setattr(roots, "MAX_ABERTH_ITERATIONS", 2)
+    with pytest.raises(RootFindingError):
+        _aberth(_shifted_factorial(6, -1).coefficients)
+
+
 # -- polish ---------------------------------------------------------------------------
 
 POLISHED = {

@@ -9,16 +9,18 @@ pairs and 6 even-coefficient singletons); sets of this shape always have an
 even count plus the singleton count, and all 6 singletons are certified.
 """
 import math
-from math import comb, isqrt
+from math import comb, factorial, isqrt
 
 import pytest
 
 from minklat.constants import UNIVERSAL_M_FLOOR
-from minklat.intpoly import parse_polynomial, sturm_real_count
+from minklat.intpoly import IntPolynomial, parse_polynomial, sturm_real_count
 from minklat.measures import m_lower_bound_signature
 from minklat.search import (
     _mirror_coeffs,
     _prescreen,
+    _to_polynomial,
+    _walk_pruned,
     admissible_signatures,
     coefficient_bounds,
     enumerate_m_lt_one,
@@ -270,6 +272,55 @@ def test_pruned_equals_raw_degree3(search_report_3):
 def test_pruned_equals_raw_degree4(search_report_4):
     raw = enumerate_m_lt_one(4, prune=False)
     assert _flat(raw) == _flat(search_report_4)
+
+
+def _real_rooted(poly):
+    # squarefree with all roots real; sturm_real_count raises otherwise
+    try:
+        return sturm_real_count(poly) == poly.degree
+    except ValueError:
+        return False
+
+
+def _totally_real_box(n, rho):
+    """Brute force over the box |a_k| <= C(n,k) rho^(k/2) of roots of modulus
+    at most sqrt(rho): every squarefree totally real polynomial with
+    p2 <= rho and f(0), f(1), f(-1) nonzero.  A head a_1..a_j is extended
+    only if p2 <= rho (once j >= 2) and, by Rolle, the (n-j)-th derivative
+    it fixes is squarefree and real-rooted."""
+    box = [int(comb(n, k) * rho ** (k / 2)) for k in range(1, n + 1)]
+    found = set()
+
+    def extend(head):
+        j = len(head)
+        if j >= 2 and head[0] ** 2 - 2 * head[1] > rho:
+            return
+        if j == n:
+            poly = _to_polynomial(head, n)
+            if 0 not in (head[-1], poly(1), poly(-1)) and _real_rooted(poly):
+                found.add(head)
+            return
+        if j >= 2:
+            a = (1,) + head
+            deriv = [a[j - e] * factorial(n - j + e) // factorial(e) for e in range(j + 1)]
+            if not _real_rooted(IntPolynomial(deriv)):
+                return
+        for ak in range(-box[j], box[j] + 1):
+            extend(head + (ak,))
+
+    extend(())
+    return found
+
+
+@pytest.mark.parametrize(
+    "n, rho", [(2, 3), (2, 4.5), (2, 13), (3, 6), (3, 7.5), (3, 9), (4, 6), (4, 10)]
+)
+def test_totally_real_walk_covers_brute_force_box(n, rho):
+    walk = _walk_pruned(n, None, rho, True, False)
+    covered = set(walk) | {_mirror_coeffs(c) for c in walk}
+    box = _totally_real_box(n, rho)
+    assert box  # the oracle is not vacuous
+    assert sorted(box - covered) == []
 
 
 def test_threads_agree_with_serial(search_report_5):
