@@ -104,13 +104,14 @@ def _aberth(coeffs: Sequence[int]) -> np.ndarray:
     radii = radius * (1.0 + 0.05 * k / n)
     z = radii * np.exp(1j * angles)
     cf = [float(c) for c in coeffs]
+    diff = np.empty((n, n), dtype=complex)  # z_i - z_j, then its reciprocal
     for _ in range(MAX_ABERTH_ITERATIONS):
         p, dp = _horner_with_derivative(cf, z)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = p / dp
-            diff = z[:, None] - z[None, :]
+            np.subtract(z[:, None], z[None, :], out=diff)
             np.fill_diagonal(diff, np.inf)
-            s = np.sum(1.0 / diff, axis=1)
+            s = np.sum(np.divide(1.0, diff, out=diff), axis=1)
             w = newton / (1.0 - newton * s)
         w = np.nan_to_num(w, nan=0.0, posinf=0.0, neginf=0.0)
         z = z - w

@@ -8,7 +8,7 @@ degree 6, so the default pipeline generates candidates through sound prunes:
   * Newton-identity windows: m < 1 forces sum |alpha_i|^2 = R + 2C < 2(s+t),
     hence |p_k| <= (2(s+t))^(k/2) for k >= 2 and |p_1| <= sqrt(2n(s+t)), so
     each coefficient lives in a short interval around the value making the
-    next power sum zero; the window is extended to p_(n+1)..p_(2n);
+    next power sum zero;
   * Maclaurin bound |a_i| <= C(n,i)(2(s+t)/n)^(i/2) on the same ball;
   * f(1) != 0 and f(-1) != 0 (else reducible);
   * one representative per {f(x), (-1)^n f(-x)} orbit is tested, both
@@ -43,7 +43,7 @@ from .roots import find_roots
 MAX_SEARCH_DEGREE = 8
 M_GUARD = 1e-9
 PRESCREEN_M_GUARD = 1e-6
-PRESCREEN_CHUNK = 200_000
+PRESCREEN_CHUNK = 4096
 WINDOW_SLACK = 1.0 + 1e-6
 
 
@@ -88,22 +88,22 @@ def _walk_pruned(
     totally_real, which holds the even p_k in [0, rho^(k/2)), and take any
     nonzero a_n of its window.  a1_values=None walks every a_1 >= 0.
     """
-    upper = [0.0] * (2 * n + 1)
+    upper = [0.0] * (n + 1)
     upper[1] = math.sqrt(n * rho) * WINDOW_SLACK
-    for k in range(2, 2 * n + 1):
+    for k in range(2, n + 1):
         upper[k] = rho ** (k / 2) * WINDOW_SLACK
     # The windows admit lower[k] <= p_k <= upper[k]; an even p_k of real
-    # roots is an integer >= 0, and -1/2 lets 0 through.  The leaf tests
-    # |p_k| < upper[k], one comparison in the hot loop, and checks the even
-    # p_k >= 0 of real roots only on a leaf that passes.
+    # roots is an integer >= 0, and -1/2 lets 0 through.  Power sums past p_n
+    # are not windowed: a leaf outside their windows lies outside the ball, so
+    # the search's prescreen finds m >= 1, and the scans' exact signature or
+    # p_2 test rejects it.
     lower = [-b for b in upper]
     if totally_real:
-        lower[2::2] = [-0.5] * n
-    even_tail = range(n + n % 2, 2 * n + 1, 2)
+        lower[2::2] = [-0.5] * (n // 2)
     mac = [int(comb(n, i) * (rho / n) ** (i / 2) * WINDOW_SLACK) for i in range(n + 1)]
     out: List[Tuple[int, ...]] = []
     a = [0] * (n + 1)  # a[k] multiplies x^(n-k); a[0] unused
-    p = [0] * (2 * n + 1)
+    p = [0] * n  # p[k] is the power sum p_k of the fixed a_1..a_k
 
     def emit_leaf(sym_open: bool):
         # a_n at odd n is the orbit's last sign choice: with the orbit still
@@ -118,25 +118,15 @@ def _walk_pruned(
                 lo = max(lo, 1)
             choices = [an for an in range(lo, hi + 1) if an]
         for an in choices:
-            pn = center - n * an
-            if abs(pn) >= upper[n]:
+            if abs(center - n * an) >= upper[n]:
                 continue
             a[n] = an
-            p[n] = pn
-            ok = True
-            for k in range(n + 1, 2 * n + 1):
-                pk = -sum(a[i] * p[k - i] for i in range(1, n + 1))
-                if abs(pk) >= upper[k]:
-                    ok = False
-                    break
-                p[k] = pk
-            if ok and (not totally_real or all(p[k] >= 0 for k in even_tail)):
-                f_at_1 = 1 + sum(a[1:])
-                f_at_m1 = (-1) ** n + sum(
-                    a[i] * (-1) ** (n - i) for i in range(1, n + 1)
-                )
-                if f_at_1 and f_at_m1:
-                    out.append(tuple(a[1:]))
+            f_at_1 = 1 + sum(a[1:])
+            f_at_m1 = (-1) ** n + sum(
+                a[i] * (-1) ** (n - i) for i in range(1, n + 1)
+            )
+            if f_at_1 and f_at_m1:
+                out.append(tuple(a[1:]))
         a[n] = 0
 
     def walk(k: int, sym_open: bool):
@@ -188,12 +178,10 @@ def _prescreen(
     A root that is not clearly real is counted as half of a complex pair,
     which can only lower the estimate.
     """
-    if not cands:
-        return []
-    arr = np.asarray(cands, dtype=np.int64)
     kept: List[Tuple[int, ...]] = []
-    for lo in range(0, len(arr), PRESCREEN_CHUNK):
-        block = arr[lo : lo + PRESCREEN_CHUNK].astype(np.float64)
+    for lo in range(0, len(cands), PRESCREEN_CHUNK):
+        chunk = cands[lo : lo + PRESCREEN_CHUNK]
+        block = np.asarray(chunk, dtype=np.float64)
         k = len(block)
         companion = np.zeros((k, n, n))
         if n > 1:
@@ -206,8 +194,7 @@ def _prescreen(
         real_part = np.where(clearly_real, mod2, 0.0).sum(axis=1)
         m_est = (real_part + (total - real_part) / 2.0) / st
         discard = m_est > 1.0 + PRESCREEN_M_GUARD
-        for idx in np.nonzero(~discard)[0]:
-            kept.append(tuple(int(x) for x in arr[lo + idx]))
+        kept.extend(chunk[i] for i in np.nonzero(~discard)[0])
     return kept
 
 
@@ -425,9 +412,9 @@ def subelement_scan(
     Newton-window walk of that totally real ball is the finite candidate
     set. Returns violators; an empty list is the verification.
     """
-    if degree not in (2, 3) or len(weights) != degree or any(w < 1 for w in weights):
+    if degree < 2 or len(weights) != degree or any(w < 1 for w in weights):
         raise ValueError("unsupported subelement pattern")
-    if bound_sq != int(bound_sq) or bound_sq < 1:
+    if not bound_sq > 0:
         raise ValueError("unsupported subelement pattern")
     w_desc = sorted(weights, reverse=True)
     violators: List[IntPolynomial] = []

@@ -177,7 +177,7 @@ def test_search_json_is_deterministic_without_timing(runner):
         "passed_irreducibility",
         "passed_m",
     }
-    assert payload["stats"]["generated"] == 299
+    assert payload["stats"]["generated"] == 314
 
 
 def test_search_signature_filter(runner):

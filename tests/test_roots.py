@@ -208,7 +208,7 @@ def test_guards_send_every_root_to_mpmath(coeffs, overflow, monkeypatch):
 
 
 @pytest.mark.parametrize("p", POLISHED.values(), ids=POLISHED.keys())
-def test_long_double_radius_bounds_distance_to_root(p):
+def test_newton_radius_bounds_distance_to_root(p):
     # one 30-digit Newton step from z + delta gives its distance to the root
     # to about 1e-30, below the radius of 1e-28 to 3e-25; from starts 1e-6
     # off the Aberth roots, the second-order term makes most of the radius

@@ -14,9 +14,15 @@ from math import comb, factorial, isqrt
 import pytest
 
 from minklat.constants import UNIVERSAL_M_FLOOR
-from minklat.intpoly import IntPolynomial, parse_polynomial, sturm_real_count
+from minklat.intpoly import (
+    IntPolynomial,
+    is_irreducible_of_signature,
+    parse_polynomial,
+    sturm_real_count,
+)
 from minklat.measures import m_lower_bound_signature
 from minklat.search import (
+    WINDOW_SLACK,
     _mirror_coeffs,
     _prescreen,
     _to_polynomial,
@@ -312,15 +318,72 @@ def _totally_real_box(n, rho):
     return found
 
 
+def _window_box(n, rho, totally_real, unit_constant):
+    """Brute force over the box |a_k| <= C(n,k) rho^(k/2), filtered by the
+    walk's definition: |a_k| within the Maclaurin cap
+    C(n,k)(rho/n)^(k/2)·slack, |p_1| <= sqrt(n rho)·slack, |p_k| <=
+    rho^(k/2)·slack for 2 <= k < n, |p_n| < rho^(n/2)·slack, every even p_k
+    >= 0 if totally_real, a_n = +-1 if unit_constant (else a_n != 0), and
+    f(1), f(-1) != 0.  Each test reads only a_1..a_k, so a head is extended
+    only while it passes."""
+    found = set()
+
+    def admits(k, ak, pk):
+        if abs(ak) > comb(n, k) * (rho / n) ** (k / 2) * WINDOW_SLACK:
+            return False
+        if k == 1:
+            return abs(pk) <= math.sqrt(n * rho) * WINDOW_SLACK
+        if totally_real and k % 2 == 0 and pk < 0:
+            return False
+        limit = rho ** (k / 2) * WINDOW_SLACK
+        return abs(pk) < limit if k == n else abs(pk) <= limit
+
+    def extend(head, sums):
+        k = len(head) + 1
+        if k > n:
+            poly = _to_polynomial(head, n)
+            if poly(1) and poly(-1):
+                found.add(head)
+            return
+        if k == n and unit_constant:
+            values = (-1, 1)
+        else:
+            b = int(comb(n, k) * rho ** (k / 2))
+            values = [ak for ak in range(-b, b + 1) if ak or k < n]
+        for ak in values:
+            # Newton: p_k = -k a_k - sum_{i<k} a_i p_(k-i)
+            pk = -k * ak - sum(head[i - 1] * sums[k - i - 1] for i in range(1, k))
+            if admits(k, ak, pk):
+                extend(head + (ak,), sums + (pk,))
+
+    extend((), ())
+    return found
+
+
+def _walk_with_mirrors(n, rho, totally_real, unit_constant):
+    walk = _walk_pruned(n, None, rho, totally_real, unit_constant)
+    assert len(set(walk)) == len(walk)
+    return set(walk) | {_mirror_coeffs(c) for c in walk}
+
+
+@pytest.mark.parametrize(
+    "n, s, t", [(n, s, t) for n in (3, 4) for s, t in admissible_signatures(n)]
+)
+def test_search_walk_equals_filtered_box(n, s, t):
+    box = _window_box(n, 2 * (s + t), False, True)
+    assert box  # the oracle is not vacuous
+    assert _walk_with_mirrors(n, 2 * (s + t), False, True) == box
+
+
 @pytest.mark.parametrize(
     "n, rho", [(2, 3), (2, 4.5), (2, 13), (3, 6), (3, 7.5), (3, 9), (4, 6), (4, 10)]
 )
 def test_totally_real_walk_covers_brute_force_box(n, rho):
-    walk = _walk_pruned(n, None, rho, True, False)
-    covered = set(walk) | {_mirror_coeffs(c) for c in walk}
+    covered = _walk_with_mirrors(n, rho, True, False)
     box = _totally_real_box(n, rho)
     assert box  # the oracle is not vacuous
     assert sorted(box - covered) == []
+    assert covered == _window_box(n, rho, True, False)
 
 
 def test_threads_agree_with_serial(search_report_5):
@@ -386,10 +449,28 @@ def test_subelement_detects_known_violator():
 
 def test_subelement_pattern_validation():
     with pytest.raises(ValueError):
-        subelement_scan(3.0, 4, (1, 1, 1, 1))
-    with pytest.raises(ValueError):
         subelement_scan(3.0, 2, (1,))
     with pytest.raises(ValueError):
         subelement_scan(3.0, 2, (0, 1))
     with pytest.raises(ValueError):
-        subelement_scan(2.5, 2, (1, 1))
+        subelement_scan(0.0, 2, (1, 1))
+    with pytest.raises(ValueError):
+        subelement_scan(3.0, 1, (1,))
+
+
+@pytest.mark.parametrize(
+    "bound_sq, degree", [(8.0, 4), (7.5, 4), (7.5, 3), (5.5, 2)]
+)
+def test_subelement_scan_agrees_with_brute_force_box(bound_sq, degree):
+    # with unit weights the weighted square sum is p_2 = a_1^2 - 2 a_2, an
+    # integer: the violators are the irreducible totally real members of the
+    # brute-force box with p_2 < bound_sq
+    expected = sorted(
+        _to_polynomial(head, degree).coefficients
+        for head in _totally_real_box(degree, bound_sq)
+        if head[0] ** 2 - 2 * head[1] < bound_sq
+        and is_irreducible_of_signature(_to_polynomial(head, degree), degree)
+    )
+    assert expected  # the oracle is not vacuous
+    violators = subelement_scan(bound_sq, degree, (1,) * degree)
+    assert sorted(p.coefficients for p in violators) == expected

@@ -349,13 +349,13 @@ def test_trace_form_floor_full_scan():
     assert rec.verdict == "pass"
     assert rec.parameters["violators"] == []
     assert rec.parameters["equality"] == ["x^2+x-1", "x^2-x-1"]
-    assert rec.parameters["scanned"] == 13244
+    assert rec.parameters["scanned"] == 16587
 
 
 def test_trace_form_floor_small_scan():
     rec = check_smyth(3)
     assert rec.verdict == "pass"
-    assert rec.parameters["scanned"] == 10
+    assert rec.parameters["scanned"] == 20
 
 
 def test_trace_form_validation():
