@@ -11,7 +11,6 @@ errors), 1 for computation errors and for any verify verdict that is not a
 pass, 0 otherwise.
 """
 import json
-import math
 import re
 from typing import List, Optional, Tuple
 
@@ -40,13 +39,12 @@ from .measures import (
 )
 from .roots import (
     InconclusiveError,
-    erdos_turan_check,
     find_roots,
     multinacci_location_check,
     pisot_check,
 )
 from .search import enumerate_m_lt_one
-from .verify import check_cubic2, check_kiy, run_suite
+from .verify import check_cubic2, check_erdos_turan_suite, check_kiy, run_suite
 
 
 def _parse_polynomial(text: str) -> IntPolynomial:
@@ -340,12 +338,11 @@ def family(kind: str, n: int, fmt: str, precision: int) -> None:
             }
         elif kind == "cofactor":
             p = multinacci_cofactor(n)
-            k = max(1, math.isqrt(math.isqrt(n)))
-            holds = all(
-                erdos_turan_check(p, math.pi * j / k, math.pi * (j + 1) / k).holds
-                for j in range(2 * k)
-            )
-            checks = {"sector_bound_holds": holds, "sectors": 2 * k}
+            (rec,) = check_erdos_turan_suite((n,))
+            checks = {
+                "sector_bound_holds": rec.verdict == "pass",
+                "sectors": rec.parameters["sectors"],
+            }
         elif kind == "truncated-geom":
             p = truncated_geom(n)
             prof = size_profile(find_roots(p))

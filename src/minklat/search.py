@@ -21,14 +21,19 @@ prescreen, so pruned and unpruned runs agreeing at degrees 3 and 4 validates
 the walk's prunes. Survivors face the exact stage: the Sturm count decides
 the signature, then certified irreducibility, then the size profile's m.
 
-The same walker, with its own ball, lists the candidates of the totally real
-scans too: subelement_scan and verify.check_smyth.
+_scan_signature_range runs that whole pipeline on one slice of a_1 values and
+returns the stage counts with every (coefficients, m) near or below one;
+enumerate_m_lt_one merges the slices, sorts once and splits off the
+inconclusive band. The same walker, with its own ball, and the same mirror
+orbit serve the totally real scans too: subelement_scan and
+verify.check_smyth.
 """
 from __future__ import annotations
 
 import math
 import multiprocessing
 import time
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from math import comb, isqrt
@@ -71,6 +76,11 @@ def _mirror_coeffs(coeffs: Sequence[int]) -> Tuple[int, ...]:
     """Coefficients of (-1)^n f(-x): odd-index signs flip (a_k is the
     coefficient of x^(n-k))."""
     return tuple(-a if k % 2 else a for k, a in enumerate(coeffs, start=1))
+
+
+def _orbit(coeffs: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
+    """The mirror orbit {f, (-1)^n f(-x)}, each member once, ascending."""
+    return tuple(sorted({coeffs, _mirror_coeffs(coeffs)}))
 
 
 def _walk_pruned(
@@ -210,9 +220,12 @@ def _to_polynomial(coeffs: Sequence[int], n: int) -> IntPolynomial:
 @dataclass(frozen=True)
 class SearchGroup:
     signature: Tuple[int, int]
-    count: int
     entries: Tuple[Tuple[IntPolynomial, float], ...]
     lower_bound: float
+
+    @property
+    def count(self) -> int:
+        return len(self.entries)
 
     def to_json_dict(self) -> dict:
         return {
@@ -265,50 +278,42 @@ def admissible_signatures(n: int) -> List[Tuple[int, int]]:
     return [(n - 2 * t, t) for t in range(1, (n - 1) // 2 + 1)]
 
 
+def _m_value(coeffs: Sequence[int], n: int) -> float:
+    return size_profile(find_roots(_to_polynomial(coeffs, n))).m
+
+
 def _scan_signature_range(
     n: int, s: int, t: int, a1_values: Sequence[int], prune: bool
-) -> dict:
+) -> Tuple[Counter, List[Tuple[Tuple[int, ...], float]]]:
+    """The per-signature pipeline: walk, prescreen, exact signature and
+    irreducibility, then m.  Returns the stage counts and every (a_1..a_n, m)
+    with m <= 1 + M_GUARD; the pruned walk lists one member per mirror orbit,
+    so there the mirror is returned too where its own m passes that test.
+    """
     if prune:
-        generated = _walk_pruned(n, a1_values, 2 * (s + t), False, True)
+        leaves = _walk_pruned(n, a1_values, 2 * (s + t), False, True)
     else:
-        generated = _walk_raw(n, s + t, a1_values)
-    survivors = _prescreen(generated, n, s + t)
-    accepted: List[Tuple[Tuple[int, ...], float]] = []
-    inconclusive: List[Tuple[Tuple[int, ...], float]] = []
-    passed_irr = 0
+        leaves = _walk_raw(n, s + t, a1_values)
+    survivors = _prescreen(leaves, n, s + t)
+    counts = Counter(generated=len(leaves), passed_prescreen=len(survivors))
+    found: List[Tuple[Tuple[int, ...], float]] = []
     for coeffs in survivors:
-        poly = _to_polynomial(coeffs, n)
-        if not is_irreducible_of_signature(poly, s):
+        if not is_irreducible_of_signature(_to_polynomial(coeffs, n), s):
             continue
-        passed_irr += 1
-        m = size_profile(find_roots(poly)).m
-        if m < 1.0 - M_GUARD:
-            sink = accepted
-        elif m <= 1.0 + M_GUARD:
-            sink = inconclusive
-        else:
+        counts["passed_irreducibility"] += 1
+        m = _m_value(coeffs, n)
+        if m > 1.0 + M_GUARD:
             continue
-        sink.append((coeffs, m))
-        if prune:
+        found.append((coeffs, m))
+        mirror = _mirror_coeffs(coeffs)
+        if prune and mirror != coeffs:
             # the mirror passes the same filters by symmetry; its m is
             # mathematically equal but recomputed from its own roots so the
             # float agrees bit-for-bit with an unpruned run
-            mirror = _mirror_coeffs(coeffs)
-            if mirror != coeffs:
-                m_mirror = size_profile(find_roots(_to_polynomial(mirror, n))).m
-                sink.append((mirror, m_mirror))
-    return {
-        "generated": len(generated),
-        "passed_prescreen": len(survivors),
-        "passed_irreducibility": passed_irr,
-        "accepted": accepted,
-        "inconclusive": inconclusive,
-    }
-
-
-def _worker(payload):
-    n, s, t, a1_chunk, prune = payload
-    return _scan_signature_range(n, s, t, a1_chunk, prune)
+            mirror_m = _m_value(mirror, n)
+            if mirror_m <= 1.0 + M_GUARD:
+                found.append((mirror, mirror_m))
+    return counts, found
 
 
 def enumerate_m_lt_one(
@@ -335,14 +340,11 @@ def enumerate_m_lt_one(
         signatures = [sf]
 
     t0 = time.time()
-    stats = {
-        "generated": 0,
-        "passed_prescreen": 0,
-        "passed_irreducibility": 0,
-        "passed_m": 0,
-    }
+    stats = Counter(
+        generated=0, passed_prescreen=0, passed_irreducibility=0, passed_m=0
+    )
     groups = []
-    inconclusive_all: List[Tuple[IntPolynomial, float]] = []
+    inconclusive: List[Tuple[IntPolynomial, float]] = []
     for s, t in signatures:
         st = s + t
         if prune:
@@ -352,47 +354,26 @@ def enumerate_m_lt_one(
             a1_cap = coefficient_bounds(n, st)[0]
             a1_values = list(range(-a1_cap, a1_cap + 1))
         workers = max(1, min(threads, len(a1_values)))
+        jobs = [(n, s, t, a1_values[i::workers], prune) for i in range(workers)]
         if workers == 1:
-            partials = [_scan_signature_range(n, s, t, a1_values, prune)]
+            parts = [_scan_signature_range(*jobs[0])]
         else:
-            chunks = [a1_values[i::workers] for i in range(workers)]
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(workers) as pool:
-                partials = pool.map(
-                    _worker, [(n, s, t, chunk, prune) for chunk in chunks]
-                )
-        accepted: List[Tuple[Tuple[int, ...], float]] = []
-        inconclusive: List[Tuple[Tuple[int, ...], float]] = []
-        for part in partials:
-            stats["generated"] += part["generated"]
-            stats["passed_prescreen"] += part["passed_prescreen"]
-            stats["passed_irreducibility"] += part["passed_irreducibility"]
-            accepted.extend(part["accepted"])
-            inconclusive.extend(part["inconclusive"])
-        stats["passed_m"] += len(accepted)
-        entries = sorted(
-            ((_to_polynomial(c, n), m) for c, m in accepted),
-            key=lambda pm: (pm[1], pm[0].coefficients),
-        )
-        groups.append(
-            SearchGroup(
-                signature=(s, t),
-                count=len(entries),
-                entries=tuple(entries),
-                lower_bound=m_lower_bound_signature(s, t),
-            )
-        )
-        inconclusive_all.extend(
-            sorted(
-                ((_to_polynomial(c, n), m) for c, m in inconclusive),
-                key=lambda pm: (pm[1], pm[0].coefficients),
-            )
-        )
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                parts = pool.starmap(_scan_signature_range, jobs)
+        found: List[Tuple[IntPolynomial, float]] = []
+        for counts, pairs in parts:
+            stats.update(counts)
+            found.extend((_to_polynomial(c, n), m) for c, m in pairs)
+        found.sort(key=lambda pm: (pm[1], pm[0].coefficients))
+        entries = tuple(pm for pm in found if pm[1] < 1.0 - M_GUARD)
+        inconclusive.extend(pm for pm in found if pm[1] >= 1.0 - M_GUARD)
+        stats["passed_m"] += len(entries)
+        groups.append(SearchGroup((s, t), entries, m_lower_bound_signature(s, t)))
     return SearchReport(
         degree=n,
         groups=tuple(groups),
-        inconclusive=tuple(inconclusive_all),
-        stats=stats,
+        inconclusive=tuple(inconclusive),
+        stats=dict(stats),
         wall_time=time.time() - t0,
         pruned=prune,
     )
@@ -427,6 +408,5 @@ def subelement_scan(
         weighted = sum(w * sq for w, sq in zip(w_desc, squares))
         if weighted < bound_sq - 1e-9:
             # the mirror's roots are the negatives, with the same squares
-            mirrors = sorted({coeffs, _mirror_coeffs(coeffs)})
-            violators.extend(_to_polynomial(c, degree) for c in mirrors)
+            violators.extend(_to_polynomial(c, degree) for c in _orbit(coeffs))
     return violators

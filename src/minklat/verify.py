@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 from math import isqrt
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .constants import (
     ERDOS_TURAN_CLASSICAL,
@@ -39,10 +39,10 @@ from .measures import (
     root_extract_profile,
     size_profile,
 )
-from .roots import InconclusiveError, erdos_turan_check, find_roots
+from .roots import erdos_turan_check, find_roots
 from .search import (
     SearchReport,
-    _mirror_coeffs,
+    _orbit,
     _to_polynomial,
     _walk_pruned,
     enumerate_m_lt_one,
@@ -522,7 +522,7 @@ def check_smyth(max_degree: int = 5) -> CheckRecord:
     for n in range(2, max_degree + 1):
         for coeffs in _walk_pruned(n, None, 1.5 * n, True, False):
             # the mirror's roots are the negatives: same verdict, same p2
-            members = sorted({coeffs, _mirror_coeffs(coeffs)})
+            members = _orbit(coeffs)
             scanned += len(members)
             if not is_irreducible_of_signature(_to_polynomial(coeffs, n), n):
                 continue
@@ -585,112 +585,87 @@ def _golden_conjugates() -> List[float]:
     return sorted(roots.real_roots)
 
 
-def _suite_jobs(suite: str) -> List[Tuple[str, object]]:
-    fast = [
-        ("sum_asymptotic", lambda: check_sum_asymptotic(50, 2.0)),
-        ("sum_asymptotic", lambda: check_sum_asymptotic(200, 2.0)),
-        ("sum_asymptotic", lambda: check_sum_asymptotic(402, 1.0)),
-        ("square_size_asymptotic", lambda: check_bhu1(2)),
-        ("square_size_asymptotic", lambda: check_bhu1(5)),
-        ("square_size_asymptotic", lambda: check_bhu1(101)),
-        ("even_spread_asymptotic", lambda: check_kiy(1)),
-        ("even_spread_asymptotic", lambda: check_kiy(12)),
-        ("compositum_bound", lambda: check_kiy1(2, 1)),
-        ("compositum_bound", lambda: check_kiy1(4, 1)),
-        ("cubic_unit_floor", check_cubic),
-        ("root_power_m_below_one", lambda: check_cubic2(1)),
-        ("root_power_m_below_one", lambda: check_cubic2(2)),
-        ("root_power_m_below_one", lambda: check_cubic2(5)),
-        ("spread_product_bound", lambda: check_schur([1.0, -1.0])),
-        ("spread_product_bound", lambda: check_schur(_golden_conjugates())),
-        ("hyperfactorial_growth", lambda: check_prod(2)),
-        ("hyperfactorial_growth", lambda: check_prod(100)),
-        ("sector_count_bound", lambda: check_erdos_turan_suite((10, 50, 100))),
-        ("trace_form_floor", lambda: check_smyth(3)),
-        ("root_extract_limit", lambda: check_root_extract(5)),
+def _suite_jobs(suite: str) -> List[Callable[[], object]]:
+    jobs = [
+        lambda: check_sum_asymptotic(50, 2.0),
+        lambda: check_sum_asymptotic(200, 2.0),
+        lambda: check_sum_asymptotic(402, 1.0),
+        lambda: check_bhu1(2),
+        lambda: check_bhu1(5),
+        lambda: check_bhu1(101),
+        lambda: check_kiy(1),
+        lambda: check_kiy(12),
+        lambda: check_kiy1(2, 1),
+        lambda: check_kiy1(4, 1),
+        check_cubic,
+        lambda: check_cubic2(1),
+        lambda: check_cubic2(2),
+        lambda: check_cubic2(5),
+        lambda: check_schur([1.0, -1.0]),
+        lambda: check_schur(_golden_conjugates()),
+        lambda: check_prod(2),
+        lambda: check_prod(100),
+        lambda: check_root_extract(5),
     ]
     if suite == "fast":
-        return fast
-    extra = [
-        ("sum_asymptotic", lambda: check_sum_asymptotic(3, 2.0)),
-        ("sum_asymptotic", lambda: check_sum_asymptotic(100, 2.0)),
-        ("sum_asymptotic", lambda: check_sum_asymptotic(400, 2.0)),
-        ("sum_asymptotic", lambda: check_sum_asymptotic(800, 2.0)),
-        ("sum_asymptotic", lambda: check_sum_asymptotic(50, 1.0)),
-        ("sum_asymptotic", lambda: check_sum_asymptotic(100, 1.0)),
-        ("sum_asymptotic", lambda: check_sum_asymptotic(200, 1.0)),
-        ("sum_asymptotic", lambda: check_sum_asymptotic(800, 1.0)),
-        ("square_size_asymptotic", lambda: check_bhu1(51)),
-        ("square_size_asymptotic", lambda: check_bhu1(201)),
-        ("square_size_asymptotic", lambda: check_bhu1(401)),
-        ("square_size_asymptotic", lambda: check_bhu1(801)),
-        ("even_spread_asymptotic", lambda: check_kiy(2)),
-        ("even_spread_asymptotic", lambda: check_kiy(25)),
-        ("even_spread_asymptotic", lambda: check_kiy(50)),
-        ("even_spread_asymptotic", lambda: check_kiy(100)),
-        ("compositum_bound", lambda: check_kiy1(2, 2)),
-        ("compositum_bound", lambda: check_kiy1(2, 3)),
-        ("compositum_bound", lambda: check_kiy1(2, 5)),
-        ("compositum_bound", lambda: check_kiy1(2, 8)),
-        ("compositum_bound", lambda: check_kiy1(2, 12)),
-        ("compositum_bound", lambda: check_kiy1(4, 3)),
-        ("compositum_bound", lambda: check_kiy1(6, 2)),
-        ("root_power_m_below_one", lambda: check_cubic2(3)),
-        ("root_power_m_below_one", lambda: check_cubic2(4)),
-        ("root_power_m_below_one", lambda: check_cubic2(8)),
-        ("root_power_m_below_one", lambda: check_cubic2(12)),
-        ("root_power_m_below_one", lambda: check_cubic2(20)),
-        ("root_power_m_below_one", lambda: check_cubic2(50)),
-        (
-            "spread_product_bound",
-            lambda: check_schur(
-                sorted(find_roots(IntPolynomial((-1, -3, 0, 1))).real_roots)
-            ),
+        return jobs + [
+            lambda: check_erdos_turan_suite((10, 50, 100)),
+            lambda: check_smyth(3),
+        ]
+    return jobs + [
+        lambda: check_sum_asymptotic(3, 2.0),
+        lambda: check_sum_asymptotic(100, 2.0),
+        lambda: check_sum_asymptotic(400, 2.0),
+        lambda: check_sum_asymptotic(800, 2.0),
+        lambda: check_sum_asymptotic(50, 1.0),
+        lambda: check_sum_asymptotic(100, 1.0),
+        lambda: check_sum_asymptotic(200, 1.0),
+        lambda: check_sum_asymptotic(800, 1.0),
+        lambda: check_bhu1(51),
+        lambda: check_bhu1(201),
+        lambda: check_bhu1(401),
+        lambda: check_bhu1(801),
+        lambda: check_kiy(2),
+        lambda: check_kiy(25),
+        lambda: check_kiy(50),
+        lambda: check_kiy(100),
+        lambda: check_kiy1(2, 2),
+        lambda: check_kiy1(2, 3),
+        lambda: check_kiy1(2, 5),
+        lambda: check_kiy1(2, 8),
+        lambda: check_kiy1(2, 12),
+        lambda: check_kiy1(4, 3),
+        lambda: check_kiy1(6, 2),
+        lambda: check_cubic2(3),
+        lambda: check_cubic2(4),
+        lambda: check_cubic2(8),
+        lambda: check_cubic2(12),
+        lambda: check_cubic2(20),
+        lambda: check_cubic2(50),
+        lambda: check_schur(
+            sorted(find_roots(IntPolynomial((-1, -3, 0, 1))).real_roots)
         ),
-        ("hyperfactorial_growth", lambda: check_prod(3)),
-        ("hyperfactorial_growth", lambda: check_prod(5)),
-        ("hyperfactorial_growth", lambda: check_prod(10)),
-        ("hyperfactorial_growth", lambda: check_prod(50)),
-        ("hyperfactorial_growth", lambda: check_prod(500)),
-        ("root_extract_limit", lambda: check_root_extract(15)),
-        ("root_extract_limit", lambda: check_root_extract(45)),
+        lambda: check_prod(3),
+        lambda: check_prod(5),
+        lambda: check_prod(10),
+        lambda: check_prod(50),
+        lambda: check_prod(500),
+        lambda: check_root_extract(15),
+        lambda: check_root_extract(45),
+        check_erdos_turan_suite,
+        lambda: check_smyth(5),
     ]
-    jobs = [
-        (label, job)
-        for label, job in fast
-        if label not in ("sector_count_bound", "trace_form_floor")
-    ]
-    jobs += extra
-    jobs.append(("sector_count_bound", check_erdos_turan_suite))
-    jobs.append(("trace_form_floor", lambda: check_smyth(5)))
-    return jobs
 
 
 def run_suite(suite: str = "fast") -> List[CheckRecord]:
     """Run the named suite and return its records ordered by check id then
-    parameters.  Checks that cannot decide at working precision come back
-    with verdict "inconclusive" instead of aborting the suite.
+    parameters.
     """
     if suite not in ("fast", "all"):
         raise ValueError("unknown suite")
     records: List[CheckRecord] = []
-    for label, job in _suite_jobs(suite):
-        try:
-            out = job()
-        except InconclusiveError as exc:
-            records.append(
-                CheckRecord(
-                    check_id=label,
-                    parameters={},
-                    observed=math.nan,
-                    predicted=math.nan,
-                    residual=math.nan,
-                    scaled_residual=math.nan,
-                    verdict="inconclusive",
-                    detail=str(exc),
-                )
-            )
-            continue
+    for job in _suite_jobs(suite):
+        out = job()
         if isinstance(out, list):
             records.extend(out)
         else:

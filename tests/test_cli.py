@@ -11,10 +11,12 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
+from minklat import cli
 from minklat.cli import _parse_polynomial, main
 from minklat.intpoly import IntPolynomial
 from minklat.lattice import ORDER_CAVEAT
 from minklat.measures import LINEAR_DISJOINTNESS_CAVEAT
+from minklat.verify import CheckRecord
 
 
 @pytest.fixture()
@@ -262,6 +264,25 @@ def test_family_cofactor_json(runner):
     assert payload["polynomial"] == "x^21-2x^20+1"
 
 
+def test_family_truncated_geom_text_and_json(runner):
+    checks = {"signature": "(1,2)", "square_size": "3.068349952", "m": "1.022783317"}
+    text = runner.invoke(main, ["family", "truncated-geom", "5"])
+    assert text.exit_code == 0
+    assert text.output.splitlines() == [
+        "kind        truncated-geom",
+        "n           5",
+        "polynomial  x^5+x^4+x^3+x^2+x-1",
+    ] + [f"{key:<18} {value}" for key, value in checks.items()]
+    as_json = runner.invoke(main, ["family", "truncated-geom", "5", "--format", "json"])
+    assert as_json.exit_code == 0
+    assert json.loads(as_json.output) == {
+        "kind": "truncated-geom",
+        "n": 5,
+        "polynomial": "x^5+x^4+x^3+x^2+x-1",
+        "checks": checks,
+    }
+
+
 def test_family_even_spread_certified(runner):
     result = runner.invoke(main, ["family", "even-spread", "6", "--format", "json"])
     payload = json.loads(result.output)
@@ -359,6 +380,22 @@ def test_verify_csv_header(runner):
     assert header == (
         "check_id,parameters,observed,predicted,residual,scaled_residual,verdict"
     )
+
+
+def test_verify_exits_1_when_a_check_does_not_pass(runner, monkeypatch):
+    failing = CheckRecord(
+        check_id="hyperfactorial_growth",
+        parameters={"s": 2},
+        observed=0.0,
+        predicted=1.0,
+        residual=-1.0,
+        scaled_residual=-1.0,
+        verdict="fail",
+    )
+    monkeypatch.setattr(cli, "run_suite", lambda suite: [failing])
+    result = runner.invoke(main, ["verify"])
+    assert result.exit_code == 1
+    assert result.output.splitlines()[-1] == "1 checks: 0 passed, 1 not passed"
 
 
 def test_verify_unknown_suite_exits_2(runner):

@@ -392,6 +392,25 @@ def test_irreducible_handles_content_and_zero_root():
     assert try_divide(P("6x^2+5x+1"), factor) is not None
 
 
+@pytest.mark.parametrize(
+    "text, witness",
+    [
+        ("6x^4+2x^3+5x^2+x+1", "3x^2+x+1"),
+        ("10x^6+2x^4+17x^3+3x+3", "2x^3+3"),
+        ("2x^4+1", None),
+    ],
+)
+def test_non_monic_irreducibility_maps_the_witness_back(text, witness):
+    # past the cubic cases the monic form lc^(n-1) p(x/lc) is factored and
+    # its witness mapped back through x -> lc x
+    verdict, factor = is_irreducible(P(text), return_witness=True)
+    if witness is None:
+        assert (verdict, factor) == (True, None)
+    else:
+        assert verdict is False and factor == P(witness)
+        assert try_divide(P(text), factor) is not None
+
+
 def _cauchy_bound(p):
     return 1 + max(abs(c) for c in p.coefficients)
 

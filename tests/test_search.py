@@ -21,7 +21,9 @@ from minklat.intpoly import (
     sturm_real_count,
 )
 from minklat.measures import m_lower_bound_signature
+from minklat import search
 from minklat.search import (
+    M_GUARD,
     WINDOW_SLACK,
     _mirror_coeffs,
     _prescreen,
@@ -239,8 +241,6 @@ def test_mirror_closure(search_report_5, search_report_6):
 @pytest.mark.slow
 def test_counts_match_lengths(search_report_5, search_report_6):
     for r in (search_report_5, search_report_6):
-        for g in r.groups:
-            assert g.count == len(g.entries)
         assert r.stats["passed_m"] == r.total_count()
         assert r.stats["generated"] >= r.stats["passed_prescreen"]
         assert r.stats["passed_prescreen"] >= r.stats["passed_irreducibility"]
@@ -278,6 +278,24 @@ def test_pruned_equals_raw_degree3(search_report_3):
 def test_pruned_equals_raw_degree4(search_report_4):
     raw = enumerate_m_lt_one(4, prune=False)
     assert _flat(raw) == _flat(search_report_4)
+
+
+def test_pruned_scan_drops_a_mirror_whose_own_m_is_above_the_guard(monkeypatch):
+    # the mirror's m is computed from its own roots; where that float lands
+    # above 1 + M_GUARD the mirror is dropped, as an unpruned run drops it
+    a1_values = [0, 1, 2]
+    _, found = search._scan_signature_range(3, 1, 1, a1_values, True)
+    leaves = set(_walk_pruned(3, a1_values, 4, False, True))
+    pushed = {_mirror_coeffs(c) for c in leaves} - leaves
+    assert pushed & {c for c, _ in found}
+    real_m_value = search._m_value
+
+    def m_value(coeffs, n):
+        return 1.0 + 2 * M_GUARD if coeffs in pushed else real_m_value(coeffs, n)
+
+    monkeypatch.setattr(search, "_m_value", m_value)
+    _, kept = search._scan_signature_range(3, 1, 1, a1_values, True)
+    assert kept == [(c, m) for c, m in found if c not in pushed]
 
 
 def _real_rooted(poly):

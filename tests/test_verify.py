@@ -388,9 +388,9 @@ def test_root_extract_validation():
 # -- suite runner -------------------------------------------------------------------
 
 
-def test_fast_suite_all_pass_and_ordered():
-    recs = run_suite("fast")
-    assert len(recs) == 23
+def _assert_suite_passes_in_order(suite, count):
+    recs = run_suite(suite)
+    assert len(recs) == count
     assert all(r.verdict == "pass" for r in recs)
     keys = [
         (r.check_id, json.dumps(r.parameters, sort_keys=True, default=str))
@@ -398,6 +398,15 @@ def test_fast_suite_all_pass_and_ordered():
     ]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
+    assert len({r.check_id for r in recs}) == 11
+
+
+def test_fast_suite_all_pass_and_ordered():
+    _assert_suite_passes_in_order("fast", 23)
+
+
+def test_all_suite_all_pass_and_ordered():
+    _assert_suite_passes_in_order("all", 163)
 
 
 def test_suite_name_validation():
