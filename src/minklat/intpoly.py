@@ -17,7 +17,7 @@ import mpmath
 Exact = Union[int, Fraction]
 
 
-# -- Horner evaluation ------------------------------------------------------------
+# -- coefficient-list kernels ----------------------------------------------------
 
 def _horner(coeffs: Sequence, x):
     """p(x) for coefficients given constant term first.
@@ -39,6 +39,32 @@ def _horner_with_derivative(coeffs: Sequence, x):
         dp = dp * x + p
         p = p * x + c
     return p, dp
+
+
+def _poly_mul(a: Sequence, b: Sequence, zero=0) -> list:
+    """Product of coefficient lists given constant term first.
+
+    As generic as _horner; zero terms on either side are skipped. Every
+    term starts at ``zero``, so Fraction input with ``zero=Fraction(0)``
+    gives a list of Fractions only.
+    """
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                if cb:
+                    out[i + j] += ca * cb
+    return out
+
+
+def _content_list(cs: Sequence[int]) -> int:
+    """gcd of the integers in cs; 0 when all are zero."""
+    g = 0
+    for c in cs:
+        g = math.gcd(g, c)
+        if g == 1:
+            return 1
+    return g
 
 
 class IntPolynomial:
@@ -83,18 +109,19 @@ class IntPolynomial:
         return self.leading_coefficient == 1
 
     def content(self) -> int:
-        g = 0
-        for c in self.coefficients:
-            g = math.gcd(g, c)
-            if g == 1:
-                break
-        return g
+        return _content_list(self.coefficients)
 
     def primitive_part(self) -> "IntPolynomial":
         g = self.content()
         if g <= 1:
             return self
         return IntPolynomial(c // g for c in self.coefficients)
+
+    def normalized(self) -> "IntPolynomial":
+        """Primitive part with a positive leading coefficient: the one
+        canonical form of a factor over Q."""
+        p = self.primitive_part()
+        return -p if p.leading_coefficient < 0 else p
 
     # -- arithmetic --------------------------------------------------------
 
@@ -120,15 +147,7 @@ class IntPolynomial:
         return self + (-other)
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if self.is_zero or other.is_zero:
-            return IntPolynomial(())
-        a, b = self.coefficients, other.coefficients
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return IntPolynomial(out)
+        return IntPolynomial(_poly_mul(self.coefficients, other.coefficients))
 
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial(i * c for i, c in enumerate(self.coefficients) if i > 0)
@@ -295,53 +314,21 @@ def _pseudo_rem(a: Sequence[int], b: Sequence[int]) -> list:
     return r
 
 
-def _content_list(cs: Sequence[int]) -> int:
-    g = 0
-    for c in cs:
-        g = math.gcd(g, c)
-        if g == 1:
-            return 1
-    return g
-
-
-def gcd_over_q(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    """Monic-up-to-content gcd over Q: primitive, positive leading coefficient."""
-
-    def normalize(r: IntPolynomial) -> IntPolynomial:
-        r = r.primitive_part()
-        return -r if r.leading_coefficient < 0 else r
-
-    a = p.primitive_part()
-    b = q.primitive_part()
-    if a.is_zero:
-        return normalize(b)
-    if b.is_zero:
-        return normalize(a)
-    if a.degree < b.degree:
-        a, b = b, a
-    while not b.is_zero:
-        if b.degree == 0:
-            return IntPolynomial((1,))
-        r = _pseudo_rem(list(a.coefficients), list(b.coefficients))
-        a, b = b, IntPolynomial(r).primitive_part()
-    return normalize(a)
-
-
 def _sturm_chain(p: IntPolynomial) -> list:
-    """Primitive-PRS Sturm chain of a squarefree polynomial.
+    """Primitive-PRS Sturm chain of p (degree >= 1), stopped at a zero remainder.
 
     Each member is a positive multiple of the textbook chain member, so sign
-    variation counts are unchanged.  Raises if p is not squarefree.
+    variation counts are unchanged.  The last member is a constant exactly
+    when p is squarefree; otherwise it is a multiple of gcd(p, p'), which
+    sturm_real_count rejects and is_irreducible reports as a factor.
     """
-    if p.degree < 1:
-        raise ValueError("squarefree required: need degree >= 1")
     chain = [list(p.coefficients), list(p.derivative().coefficients)]
-    while len(chain[-1]) - 1 > 0:
+    while len(chain[-1]) > 1:
         a, b = chain[-2], chain[-1]
         da, db = len(a) - 1, len(b) - 1
         r = _pseudo_rem(a, b)
         if not r:
-            raise ValueError("squarefree required: repeated roots detected")
+            break
         # pseudo-remainder equals lc(b)^(da-db+1) * rem(a, b); flip the sign
         # when that multiplier is negative so the chain stays a positive
         # multiple of (-rem) as Sturm's recursion demands
@@ -394,6 +381,8 @@ def sturm_real_count(
             raise ValueError("squarefree required: zero polynomial")
         return 0
     chain = _sturm_chain(p)
+    if len(chain[-1]) > 1:
+        raise ValueError("squarefree required: repeated roots detected")
     if interval is None:
         a, b = None, None
     else:
@@ -601,12 +590,7 @@ def _divmod_mod_p(a: Sequence[int], b: Sequence[int], prime: int):
 
 def _mulmod_p(a: Sequence[int], b: Sequence[int], f: Sequence[int], prime: int) -> list:
     """a * b mod f over F_p."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _divmod_mod_p(out, f, prime)[1]
+    return _divmod_mod_p(_poly_mul(a, b), f, prime)[1]
 
 
 def _gcd_mod_p(a: Sequence[int], b: Sequence[int], prime: int) -> list:
@@ -676,16 +660,17 @@ def _factor_degree_sizes(work: IntPolynomial) -> list:
 def is_irreducible(p: IntPolynomial, return_witness: bool = False):
     """Irreducibility over Q of a nonconstant primitive integer polynomial.
 
-    Exact stages run first: rational roots, the gcd with the derivative, and
-    a degree of at most 3. The monic form is then factored by degree over a
-    few small primes (``_factor_degree_sizes``); a factor over Z has a degree
-    that every prime allows, so when no size from 2 to n/2 survives, p is
-    irreducible. Otherwise candidate factors of the surviving sizes are
-    reconstructed from subsets of high-precision complex roots by rounding
-    elementary symmetric functions; exact integer division is the
-    certificate, so the floating step only proposes, and the witness is the
-    same one that trying every size would give. With return_witness=True
-    the result is (verdict, factor-or-None).
+    Exact stages run first: rational roots, then the last member of the
+    Sturm chain, which is a multiple of gcd(p, p') and so a repeated factor
+    whenever it is not a constant. The monic form is then factored by degree
+    over a few small primes (``_factor_degree_sizes``); a factor over Z has a
+    degree that every prime allows, so when no size from 2 to n/2 survives
+    (always so below degree 4), p is irreducible. Otherwise candidate
+    factors of the surviving sizes are reconstructed from subsets of
+    high-precision complex roots by rounding elementary symmetric functions;
+    exact integer division is the certificate, so the floating step only
+    proposes, and the witness is the same one that trying every size would
+    give. With return_witness=True the result is (verdict, factor-or-None).
     """
     if p.degree < 1:
         raise ValueError("irreducibility undefined for constant polynomials")
@@ -702,13 +687,10 @@ def is_irreducible(p: IntPolynomial, return_witness: bool = False):
     for root in _rational_roots(p):
         factor = IntPolynomial((-root.numerator, root.denominator))
         return result(False, factor)
-    common = gcd_over_q(p, p.derivative())
-    if common.degree >= 1:
-        # repeated roots: the gcd with the derivative is a proper factor
-        return result(False, common)
-    if p.degree <= 3:
-        # no rational root and every proper factorization has a linear part
-        return result(True)
+    last = _sturm_chain(p)[-1]
+    if len(last) > 1:
+        # repeated roots: gcd(p, p') is a proper factor
+        return result(False, IntPolynomial(last).normalized())
 
     work = p if p.is_monic else _monicize(p)
     sizes = _factor_degree_sizes(work)
@@ -732,12 +714,8 @@ def is_irreducible(p: IntPolynomial, return_witness: bool = False):
         return result(False, witness)
     # map back through x -> lc*x and strip content
     lc = p.leading_coefficient
-    mapped = IntPolynomial(
-        c * lc ** i for i, c in enumerate(witness.coefficients)
-    ).primitive_part()
-    if mapped.leading_coefficient < 0:
-        mapped = -mapped
-    return result(False, mapped)
+    mapped = IntPolynomial(c * lc ** i for i, c in enumerate(witness.coefficients))
+    return result(False, mapped.normalized())
 
 
 def is_irreducible_of_signature(p: IntPolynomial, s: int) -> bool:

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .intpoly import IntPolynomial, discriminant
+from .intpoly import IntPolynomial, _poly_mul, discriminant
 from .roots import ConjugateSet
 
 ENUMERATION_DIMENSION_CAP = 40
@@ -250,17 +250,11 @@ def _multiply_mod(
 ) -> List[Fraction]:
     """(vec * beta) mod p over the power basis; p monic."""
     n = p.degree
-    prod = [Fraction(0)] * (2 * n - 1)
-    for i, a in enumerate(vec):
-        if a:
-            for j, b in enumerate(beta):
-                if b:
-                    prod[i + j] += a * b
+    prod = _poly_mul(vec, beta, Fraction(0))
     # reduce: x^k = -(lower coefficients of p) for k >= n
-    for k in range(2 * n - 2, n - 1, -1):
+    for k in range(len(prod) - 1, n - 1, -1):
         c = prod[k]
         if c:
-            prod[k] = Fraction(0)
             for idx in range(n):
                 prod[k - n + idx] -= c * p.coefficients[idx]
     return prod[:n]
@@ -298,10 +292,7 @@ def _minimal_polynomial(
             for c in monic:
                 denom = denom * c.denominator // math.gcd(denom, c.denominator)
             ints = [int(c * denom) for c in monic]
-            minpoly = IntPolynomial(ints).primitive_part()
-            if minpoly.leading_coefficient < 0:
-                minpoly = -minpoly
-            return k, minpoly
+            return k, IntPolynomial(ints).normalized()
         echelon.append((vec, combo))
         power = _multiply_mod(power, beta, p)
     raise RuntimeError("no dependency found within the field degree")

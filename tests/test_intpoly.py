@@ -8,12 +8,13 @@ from itertools import product
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from minklat.intpoly import (
     IntPolynomial,
     _factor_degree_sizes,
     _factor_degrees_mod_p,
+    _sturm_chain,
     discriminant,
     divmod_exact,
     even_spread,
@@ -279,6 +280,24 @@ def test_sturm_degree_800_is_cheap():
     assert sturm_real_count(multinacci(801)) == 1
 
 
+squarefree_factor = (
+    st.lists(st.integers(-3, 3), min_size=2, max_size=4)
+    .filter(lambda cs: cs[-1] != 0)
+    .map(IntPolynomial)
+    .filter(lambda p: p.degree == 1 or discriminant(p) != 0)
+)
+
+
+@settings(max_examples=200)
+@given(squarefree_factor, squarefree_factor)
+def test_sturm_chain_ends_at_the_repeated_factor(f, g):
+    # p = f g^2 with f, g squarefree and coprime: gcd(p, p') = g, and the
+    # chain's last member is a multiple of it
+    assume(resultant(f, g) != 0)
+    p = f * g * g
+    assert IntPolynomial(_sturm_chain(p)[-1]).normalized() == g.normalized()
+
+
 def test_sturm_rejects_repeated_roots():
     with pytest.raises(ValueError, match="squarefree required"):
         sturm_real_count(P("x^2-2x+1"))
@@ -398,11 +417,16 @@ def test_irreducible_handles_content_and_zero_root():
         ("6x^4+2x^3+5x^2+x+1", "3x^2+x+1"),
         ("10x^6+2x^4+17x^3+3x+3", "2x^3+3"),
         ("2x^4+1", None),
+        ("2x^3+x+1", None),
+        # repeated factors, taken from the Sturm chain and sign-normalized
+        ("-x^4-2x^3-3x^2-2x-1", "x^2+x+1"),
+        ("4x^4+4x^3+5x^2+2x+1", "2x^2+x+1"),
     ],
 )
 def test_non_monic_irreducibility_maps_the_witness_back(text, witness):
-    # past the cubic cases the monic form lc^(n-1) p(x/lc) is factored and
-    # its witness mapped back through x -> lc x
+    # a squarefree p without rational roots is decided on its monic form
+    # lc^(n-1) p(x/lc), whose witness is mapped back through x -> lc x; a
+    # cubic is decided by the empty set of sizes 2..n/2
     verdict, factor = is_irreducible(P(text), return_witness=True)
     if witness is None:
         assert (verdict, factor) == (True, None)
