@@ -557,9 +557,9 @@ def _monicize(p: IntPolynomial) -> IntPolynomial:
     """lc^(n-1) * p(x / lc): a monic integer polynomial with the same splitting."""
     lc = p.leading_coefficient
     n = p.degree
-    return IntPolynomial(
-        c * lc ** (n - 1 - i) for i, c in enumerate(p.coefficients)
-    )
+    # the leading term is 1 exactly: lc ** -1 is a float that can round below 1
+    lower = [c * lc ** (n - 1 - i) for i, c in enumerate(p.coefficients[:-1])]
+    return IntPolynomial(lower + [1])
 
 
 # Primes for the factor-degree sets; a prime where the polynomial is not

@@ -4,10 +4,11 @@ Rows of the basis matrix are psi(b_i) with coordinates: the s real conjugates,
 then (Re, Im) per complex pair with no sqrt(2) weighting, which is what makes
 |det| = 2^(-t) * sqrt(|disc|) and the squared length of psi(1) equal to s+t.
 
-The enumerator is floating Fincke-Pohst over an LLL-reduced Gram with a small
-radius slack; every candidate's form value is recomputed from its integer
-coordinates before acceptance so boundary vectors are never lost to drift in
-the recursion's partial sums.
+LLL is floating-point: a Gram-Schmidt row is two matrix-vector products, and
+size reduction updates mu in place. The enumerator is floating Fincke-Pohst
+over the LLL-reduced Gram with a small radius slack; every candidate's form
+value is recomputed from its integer coordinates before acceptance so boundary
+vectors are never lost to drift in the recursion's partial sums.
 """
 from __future__ import annotations
 
@@ -79,15 +80,20 @@ class ShortestVectorResult:
 
 # -- construction ----------------------------------------------------------------
 
-def _embedding_row(roots: ConjugateSet, coeffs: Sequence[Fraction]) -> np.ndarray:
-    """psi of the element with the given power-basis coefficients."""
+def _embedding_matrix(roots: ConjugateSet, rows: Sequence[Sequence[Fraction]]) -> np.ndarray:
+    """psi of each element given by power-basis coefficients, one row each;
+    the powers of each conjugate are computed once for all rows."""
+    n = roots.degree
+    real_powers = [[r ** k for k in range(n)] for r in roots.real_roots]
+    complex_powers = [[z ** k for k in range(n)] for z in roots.complex_reps]
     out = []
-    for r in roots.real_roots:
-        out.append(float(sum(float(c) * r ** k for k, c in enumerate(coeffs))))
-    for z in roots.complex_reps:
-        val = sum(complex(c) * z ** k for k, c in enumerate(coeffs))
-        out.append(val.real)
-        out.append(val.imag)
+    for coeffs in rows:
+        floats = [float(c) for c in coeffs]
+        row = [float(sum(c * rk for c, rk in zip(floats, pw))) for pw in real_powers]
+        for pw in complex_powers:
+            val = sum(complex(c) * zk for c, zk in zip(floats, pw))
+            row += (val.real, val.imag)
+        out.append(row)
     return np.array(out)
 
 
@@ -145,7 +151,7 @@ def build_embedding(
         int(order_disc_q) if order_disc_q.denominator == 1 else order_disc_q
     )
 
-    mat = np.vstack([_embedding_row(roots, row) for row in rows_q])
+    mat = _embedding_matrix(roots, rows_q)
     gram = mat @ mat.T
     lat = EmbeddedLattice(
         conjugates=roots,
@@ -168,13 +174,11 @@ def _gram_schmidt_row(
     b: np.ndarray, bstar: np.ndarray, mu: np.ndarray, norms: np.ndarray, i: int
 ) -> None:
     """Classical Gram-Schmidt of row i: fills mu[i, :i], bstar[i] and
-    norms[i] from b[i] and bstar/norms of rows 0..i-1."""
-    v = b[i].copy()
-    for j in range(i):
-        mu[i, j] = float(np.dot(b[i], bstar[j]) / norms[j])
-        v -= mu[i, j] * bstar[j]
-    bstar[i] = v
-    norms[i] = float(np.dot(v, v))
+    norms[i] from b[i] and bstar/norms of rows 0..i-1, by two matrix-vector
+    products (classical, so mu reads b[i], not the running remainder)."""
+    mu[i, :i] = bstar[:i] @ b[i] / norms[:i]
+    bstar[i] = b[i] - mu[i, :i] @ bstar[:i]
+    norms[i] = bstar[i] @ bstar[i]
     if norms[i] <= 0.0:
         raise ArithmeticError("lattice basis lost positive definiteness")
 
@@ -198,13 +202,22 @@ def _lll(basis: np.ndarray):
         while current <= k:
             _gram_schmidt_row(b, bstar, mu, norms, current)
             current += 1
+        # size reduction updates mu[k] in place (b*_k is unchanged), then row k
+        # is recomputed once; round() reads Python floats far faster
+        reduced = False
+        mu_k = mu[k].tolist()
         for j in range(k - 1, -1, -1):
-            q = round(mu[k, j])
+            q = round(mu_k[j])
             if q:
                 b[k] -= q * b[j]
                 u[k] = [uk - q * uj for uk, uj in zip(u[k], u[j])]
-                _gram_schmidt_row(b, bstar, mu, norms, k)
-                current = k + 1
+                mu[k, :j] -= q * mu[j, :j]
+                mu[k, j] -= q
+                mu_k = mu[k].tolist()
+                reduced = True
+        if reduced:
+            _gram_schmidt_row(b, bstar, mu, norms, k)
+            current = k + 1
         if norms[k] >= (LLL_DELTA - mu[k, k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
@@ -245,56 +258,43 @@ def lll_reduce(
 
 # -- minimizer bookkeeping ----------------------------------------------------------
 
-def _multiply_mod(
-    vec: Sequence[Fraction], beta: Sequence[Fraction], p: IntPolynomial
-) -> List[Fraction]:
-    """(vec * beta) mod p over the power basis; p monic."""
-    n = p.degree
-    prod = _poly_mul(vec, beta, Fraction(0))
-    # reduce: x^k = -(lower coefficients of p) for k >= n
-    for k in range(len(prod) - 1, n - 1, -1):
-        c = prod[k]
-        if c:
-            for idx in range(n):
-                prod[k - n + idx] -= c * p.coefficients[idx]
-    return prod[:n]
-
-
 def _minimal_polynomial(
-    power_coords: Sequence[Fraction], p: IntPolynomial
+    power_coords: Sequence[Union[int, Fraction]], p: IntPolynomial
 ) -> Tuple[int, Optional[IntPolynomial]]:
     """Exact degree over Q and primitive minimal polynomial of the element
-    given by power-basis coordinates in Q[x]/(p).
-    """
+    given by power-basis coordinates in Q[x]/(p). Fraction-free: gamma =
+    d * beta (d the lcm of the denominators) has integer powers mod monic p,
+    and a dependency sum c_j gamma^j = 0 maps back to coefficients c_j d^j."""
     n = p.degree
-    beta = [Fraction(c) for c in power_coords]
-    # echelon rows: (vector, combination over beta powers)
-    echelon: List[Tuple[List[Fraction], List[Fraction]]] = []
-    power = [Fraction(0)] * n
-    power[0] = Fraction(1)
+    d = math.lcm(*(c.denominator for c in power_coords))
+    gamma = [int(c * d) for c in power_coords]
+    # echelon rows (pivot, gamma^k augmented by its combination of gamma
+    # powers); elimination cross-multiplies by the pivots, divides by the gcd
+    echelon: List[Tuple[int, List[int]]] = []
+    power = [1] + [0] * (n - 1)
     for k in range(n + 1):
-        vec = list(power)
-        combo = [Fraction(0)] * (n + 1)
-        combo[k] = Fraction(1)
-        for evec, ecombo in echelon:
-            pivot = next((i for i, x in enumerate(evec) if x), None)
-            if pivot is not None and vec[pivot]:
-                f = vec[pivot] / evec[pivot]
-                for i in range(n):
-                    vec[i] -= f * evec[i]
-                for i in range(n + 1):
-                    combo[i] -= f * ecombo[i]
-        if all(x == 0 for x in vec):
-            # monic dependency at degree k
-            lead = combo[k]
-            monic = [c / lead for c in combo[: k + 1]]
-            denom = 1
-            for c in monic:
-                denom = denom * c.denominator // math.gcd(denom, c.denominator)
-            ints = [int(c * denom) for c in monic]
-            return k, IntPolynomial(ints).normalized()
-        echelon.append((vec, combo))
-        power = _multiply_mod(power, beta, p)
+        row = power + [0] * (n + 1)
+        row[n + k] = 1
+        for pivot, erow in echelon:
+            f = row[pivot]
+            if f:
+                e = erow[pivot]
+                row = [e * x - f * y for x, y in zip(row, erow)]
+                g = math.gcd(*row)
+                row = [x // g for x in row]
+        pivot = next((i for i in range(n) if row[i]), None)
+        if pivot is None:
+            # row[n + k] != 0: no echelon row involves gamma^k
+            combo = row[n : n + k + 1]
+            return k, IntPolynomial([c * d**j for j, c in enumerate(combo)]).normalized()
+        echelon.append((pivot, row))
+        # power * gamma mod p, with x^m = -(lower coefficients of p) for m >= n
+        power = _poly_mul(power, gamma)
+        for m in range(len(power) - 1, n - 1, -1):
+            if power[m]:
+                for idx in range(n):
+                    power[m - n + idx] -= power[m] * p.coefficients[idx]
+        power = power[:n]
     raise RuntimeError("no dependency found within the field degree")
 
 

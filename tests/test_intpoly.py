@@ -421,6 +421,10 @@ def test_irreducible_handles_content_and_zero_root():
         # repeated factors, taken from the Sturm chain and sign-normalized
         ("-x^4-2x^3-3x^2-2x-1", "x^2+x+1"),
         ("4x^4+4x^3+5x^2+2x+1", "2x^2+x+1"),
+        # 49 * (1/49) and 729 * (1/729) round below 1 in floats; the monic
+        # form must keep its leading 1 exactly
+        ("49x^4-150x^3-141x^2+18x+9", "x^2-3x-3"),
+        ("729x^6-3402x^5+10206x^4-19872x^3+25164x^2-20904x+7432", None),
     ],
 )
 def test_non_monic_irreducibility_maps_the_witness_back(text, witness):

@@ -10,8 +10,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from minklat.intpoly import IntPolynomial, make_family, multinacci, parse_polynomial
+from minklat.intpoly import (
+    IntPolynomial,
+    is_irreducible,
+    make_family,
+    multinacci,
+    parse_polynomial,
+    truncated_geom,
+)
 from minklat.lattice import (
     BRUTE_FORCE_DIMENSION_CAP,
     ENUMERATION_DIMENSION_CAP,
@@ -22,9 +30,11 @@ from minklat.lattice import (
     shortest_vector,
     _exact_det,
     _lll,
+    _minimal_polynomial,
 )
 from minklat.measures import m_lower_bound_signature
 from minklat.roots import find_roots
+from test_search import DEG3_TABLE, DEG4_TABLE, DEG5_TABLE, DEG6_TABLE
 
 
 def lattice_of(text):
@@ -107,6 +117,50 @@ def test_gram_matches_basis():
     assert lat.signature == (1, 1)
 
 
+def _reference_embedding(roots, rows):
+    # one element at a time, every power and every conversion recomputed
+    out = []
+    for coeffs in rows:
+        row = [
+            float(sum(float(c) * r**k for k, c in enumerate(coeffs)))
+            for r in roots.real_roots
+        ]
+        for z in roots.complex_reps:
+            val = sum(complex(c) * z**k for k, c in enumerate(coeffs))
+            row += [val.real, val.imag]
+        out.append(np.array(row))
+    return np.vstack(out)
+
+
+@pytest.mark.parametrize(
+    "text,basis",
+    [
+        (text, None)
+        for text in (
+            "x^3-x^2+1",
+            "x^4+x^2-1",
+            "x^5-x^4+x^3-x^2+2x-1",
+            "x^6+x^2-1",
+            "x^6-2x^4+3x^2-1",
+            make_family("root-power", 8).to_text(),
+        )
+    ]
+    + [
+        ("x^3-x-1", [[1, 0, 0], [7, 1, 0], [23, 9, 1]]),
+        ("x^2-x-1", [[1, 0], [0, Fraction(1, 2)]]),
+    ],
+)
+def test_embedding_bit_identical_to_per_element_sum(text, basis):
+    # the matrix is built with each conjugate's powers computed once; every
+    # entry must still be the same float as embedding one element alone
+    roots = find_roots(parse_polynomial(text))
+    lat = build_embedding(roots, basis=basis)
+    n = roots.degree
+    rows = basis if basis is not None else np.eye(n, dtype=int).tolist()
+    expected = _reference_embedding(roots, [[Fraction(x) for x in row] for row in rows])
+    assert lat.basis_matrix.tobytes() == expected.tobytes()
+
+
 def test_psi_one_row():
     # first power-basis row is psi(1): ones on real coords, (1, 0) per pair
     lat = lattice_of("x^6+x^2-1")
@@ -175,6 +229,8 @@ def test_degenerate_signatures_hit_witness(text):
 # 4^22, root_power(8) has degree 24
 LLL_FAMILY_BASES = {
     "multinacci15": multinacci(15).to_text(),
+    "multinacci19": multinacci(19).to_text(),
+    "multinacci21": multinacci(21).to_text(),
     "multinacci22": multinacci(22).to_text(),
     "truncated_geom20": make_family("truncated-geom", 20).to_text(),
     "root_power8": make_family("root-power", 8).to_text(),
@@ -251,6 +307,75 @@ def test_multinacci_twelve_minimum_is_one():
     sv = shortest_vector(lat)
     assert sv.coordinates == (1,) + (0,) * 11
     assert abs(sv.m_value - 1.0) < 1e-9
+
+
+def _unit(n, i):
+    return tuple(1 if j == i else 0 for j in range(n))
+
+
+# minimizers of the family lattices, frozen from the LLL that computed each
+# Gram-Schmidt coefficient by its own dot product and recomputed the row after
+# every size-reduction step; multinacci(n) has Gram entries near 4^n
+FROZEN_FAMILY_MINIMIZERS = [
+    (multinacci, 9, _unit(9, 0), 1, "x-1"),
+    (multinacci, 10, _unit(10, 0), 1, "x-1"),
+    (multinacci, 11, _unit(11, 0), 1, "x-1"),
+    (multinacci, 12, _unit(12, 0), 1, "x-1"),
+    (multinacci, 13, (1,) * 12 + (-1,), 13,
+     "x^13-x^12+x^11-x^10+x^9-x^8+x^7-x^6+x^5-x^4+x^3-x^2+x+1"),
+    (multinacci, 14, _unit(14, 0), 1, "x-1"),
+    (multinacci, 15, (1,) * 14 + (-1,), 15,
+     "x^15-x^14+x^13-x^12+x^11-x^10+x^9-x^8+x^7-x^6+x^5-x^4+x^3-x^2+x+1"),
+    (multinacci, 16, _unit(16, 0), 1, "x-1"),
+    (multinacci, 17, (1,) * 16 + (-1,), 17,
+     "x^17-x^16+x^15-x^14+x^13-x^12+x^11-x^10+x^9-x^8+x^7-x^6+x^5-x^4+x^3"
+     "-x^2+x+1"),
+    (multinacci, 18, _unit(18, 0), 1, "x-1"),
+    (multinacci, 19, (1,) * 18 + (-1,), 19,
+     "x^19-x^18+x^17-x^16+x^15-x^14+x^13-x^12+x^11-x^10+x^9-x^8+x^7-x^6+x^5"
+     "-x^4+x^3-x^2+x+1"),
+    (multinacci, 20, _unit(20, 0), 1, "x-1"),
+    (multinacci, 21, (1,) * 20 + (-1,), 21,
+     "x^21-x^20+x^19-x^18+x^17-x^16+x^15-x^14+x^13-x^12+x^11-x^10+x^9-x^8+x^7"
+     "-x^6+x^5-x^4+x^3-x^2+x+1"),
+    (multinacci, 22, _unit(22, 0), 1, "x-1"),
+    (truncated_geom, 9, _unit(9, 0), 1, "x-1"),
+    (truncated_geom, 10, _unit(10, 0), 1, "x-1"),
+    (truncated_geom, 11, _unit(11, 0), 1, "x-1"),
+    (truncated_geom, 12, _unit(12, 0), 1, "x-1"),
+    (truncated_geom, 13, _unit(13, 1), 13,
+     "x^13+x^12+x^11+x^10+x^9+x^8+x^7+x^6+x^5+x^4+x^3+x^2+x-1"),
+    (truncated_geom, 14, _unit(14, 0), 1, "x-1"),
+    (truncated_geom, 15, _unit(15, 1), 15,
+     "x^15+x^14+x^13+x^12+x^11+x^10+x^9+x^8+x^7+x^6+x^5+x^4+x^3+x^2+x-1"),
+    (truncated_geom, 16, _unit(16, 0), 1, "x-1"),
+    (truncated_geom, 17, _unit(17, 1), 17,
+     "x^17+x^16+x^15+x^14+x^13+x^12+x^11+x^10+x^9+x^8+x^7+x^6+x^5+x^4+x^3"
+     "+x^2+x-1"),
+    (truncated_geom, 18, _unit(18, 0), 1, "x-1"),
+    (truncated_geom, 19, _unit(19, 1), 19,
+     "x^19+x^18+x^17+x^16+x^15+x^14+x^13+x^12+x^11+x^10+x^9+x^8+x^7+x^6+x^5"
+     "+x^4+x^3+x^2+x-1"),
+    (truncated_geom, 20, _unit(20, 0), 1, "x-1"),
+    (truncated_geom, 21, _unit(21, 1), 21,
+     "x^21+x^20+x^19+x^18+x^17+x^16+x^15+x^14+x^13+x^12+x^11+x^10+x^9+x^8+x^7"
+     "+x^6+x^5+x^4+x^3+x^2+x-1"),
+    (truncated_geom, 22, _unit(22, 0), 1, "x-1"),
+]
+
+
+@pytest.mark.parametrize(
+    "family,n,coords,mdeg,minpoly",
+    [
+        pytest.param(*row, id=f"{row[0].__name__}{row[1]}")
+        for row in FROZEN_FAMILY_MINIMIZERS
+    ],
+)
+def test_family_minimizers_frozen(family, n, coords, mdeg, minpoly):
+    sv = shortest_vector(build_embedding(find_roots(family(n))))
+    assert sv.coordinates == coords
+    assert sv.minimizer_degree == mdeg
+    assert sv.minimizer_minpoly.to_text() == minpoly
 
 
 def _min_squared_length(p):
@@ -335,3 +460,67 @@ def test_element_poly_matches_coordinates():
 
     prof = size_profile(find_roots(parse_polynomial("x^6+x^2-1")))
     assert abs(sv.m_value - prof.m) < 1e-9
+
+
+# -- minimal polynomial of the minimizer -----------------------------------------------
+
+MINPOLY_FIELDS = [
+    parse_polynomial(text)
+    for table in (DEG3_TABLE, DEG4_TABLE, DEG5_TABLE, DEG6_TABLE)
+    for text, _ in table
+] + [multinacci(9)]
+
+
+def _mul_mod(a, b, p):
+    """a * b in Q[x]/(p) over the power basis, p monic, in Fractions."""
+    n = p.degree
+    prod = [Fraction(0)] * (2 * n - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for k in range(2 * n - 2, n - 1, -1):
+        for idx in range(n):
+            prod[k - n + idx] -= prod[k] * p.coefficients[idx]
+    return prod[:n]
+
+
+def _evaluate_mod(f, beta, p):
+    """f(beta) in Q[x]/(p), by Horner with exact Fractions."""
+    acc = [Fraction(0)] * p.degree
+    for c in reversed(f.coefficients):
+        acc = _mul_mod(acc, beta, p)
+        acc[0] += c
+    return acc
+
+
+@st.composite
+def field_elements(draw):
+    p = draw(st.sampled_from(MINPOLY_FIELDS))
+    coord = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+    beta = draw(st.lists(coord, min_size=p.degree, max_size=p.degree))
+    return p, beta
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_elements())
+def test_minimal_polynomial_certificate(element):
+    # the answer certifies itself: an irreducible primitive f with a positive
+    # leading coefficient and f(beta) = 0 is beta's minimal polynomial
+    p, beta = element
+    degree, f = _minimal_polynomial(beta, p)
+    assert f.degree == degree
+    assert p.degree % degree == 0
+    assert f.content() == 1
+    assert f.leading_coefficient > 0
+    assert all(c == 0 for c in _evaluate_mod(f, beta, p))
+    assert is_irreducible(f)
+
+
+@pytest.mark.parametrize(
+    "c,text", [(0, "x"), (1, "x-1"), (-3, "x+3"), (Fraction(3, 2), "2x-3")]
+)
+def test_minimal_polynomial_of_constant(c, text):
+    p = parse_polynomial("x^5-x^3+x^2+x-1")
+    degree, f = _minimal_polynomial([Fraction(c)] + [Fraction(0)] * 4, p)
+    assert degree == 1
+    assert f.to_text() == text
