@@ -8,11 +8,12 @@ Sturm or resultant paths.
 from __future__ import annotations
 
 import math
+import random
 import re
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations, count, zip_longest
 from typing import Iterable, Optional, Sequence, Tuple, Union
-
-import mpmath
 
 Exact = Union[int, Fraction]
 
@@ -23,7 +24,7 @@ def _horner(coeffs: Sequence, x):
     """p(x) for coefficients given constant term first.
 
     Generic over any x that multiplies and adds with the coefficients: int,
-    Fraction, float, complex, numpy arrays and mpmath numbers. The
+    Fraction, float, complex, numpy arrays and arbitrary-precision floats. The
     accumulator starts at the integer 0, so int and Fraction input stays exact.
     """
     acc = 0
@@ -529,30 +530,6 @@ def make_family(kind: str, n: int) -> IntPolynomial:
 
 # -- irreducibility ------------------------------------------------------------
 
-def _rational_roots(p: IntPolynomial):
-    """All rational roots, via the rational root theorem."""
-    a0 = p.constant_term
-    an = p.leading_coefficient
-    if a0 == 0:
-        yield Fraction(0)
-        return
-    def divisors(m):
-        m = abs(m)
-        out = []
-        d = 1
-        while d * d <= m:
-            if m % d == 0:
-                out.append(d)
-                out.append(m // d)
-            d += 1
-        return sorted(set(out))
-    for num in divisors(a0):
-        for den in divisors(an):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if p.evaluate(cand) == 0:
-                    yield cand
-
-
 def _monicize(p: IntPolynomial) -> IntPolynomial:
     """lc^(n-1) * p(x / lc): a monic integer polynomial with the same splitting."""
     lc = p.leading_coefficient
@@ -562,26 +539,27 @@ def _monicize(p: IntPolynomial) -> IntPolynomial:
     return IntPolynomial(lower + [1])
 
 
-# Primes for the factor-degree sets; a prime where the polynomial is not
-# squarefree is skipped, and the loop stops once no size survives.
-_DEGREE_SET_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+def _primes():
+    """2, 3, 5, 7, ... by trial division."""
+    return (q for q in count(2) if all(q % d for d in range(2, math.isqrt(q) + 1)))
 
 
-def _divmod_mod_p(a: Sequence[int], b: Sequence[int], prime: int):
-    """Quotient and remainder over F_p of dense lists (constant first).
+def _divmod_mod_p(a: Sequence[int], b: Sequence[int], modulus: int):
+    """Quotient and remainder mod ``modulus`` of dense lists (constant first).
 
-    b has no trailing zero. Results are reduced mod p and trimmed.
+    b has no trailing zero and a unit leading coefficient (monic, mod a prime
+    power). Results are reduced and trimmed.
     """
-    r = [c % prime for c in a]
+    r = [c % modulus for c in a]
     db = len(b) - 1
-    inv = pow(b[-1], -1, prime)
+    inv = pow(b[-1], -1, modulus)
     q = [0] * max(len(r) - db, 0)
     for k in range(len(r) - 1, db - 1, -1):
-        c = r[k] * inv % prime
+        c = r[k] * inv % modulus
         if c:
             q[k - db] = c
             for i in range(db):
-                r[k - db + i] = (r[k - db + i] - c * b[i]) % prime
+                r[k - db + i] = (r[k - db + i] - c * b[i]) % modulus
     r = r[:db]
     while r and r[-1] == 0:
         r.pop()
@@ -593,6 +571,24 @@ def _mulmod_p(a: Sequence[int], b: Sequence[int], f: Sequence[int], prime: int) 
     return _divmod_mod_p(_poly_mul(a, b), f, prime)[1]
 
 
+def _powmod_p(base: Sequence[int], e: int, f: Sequence[int], prime: int) -> list:
+    """base^e mod f over F_p, by square and multiply."""
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = _mulmod_p(out, out, f, prime)
+        if bit == "1":
+            out = _mulmod_p(out, base, f, prime)
+    return out
+
+
+def _sub_mod_p(a: Sequence[int], b: Sequence[int], prime: int) -> list:
+    """a - b over F_p, trimmed."""
+    out = [(x - y) % prime for x, y in zip_longest(a, b, fillvalue=0)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
 def _gcd_mod_p(a: Sequence[int], b: Sequence[int], prime: int) -> list:
     """Monic gcd over F_p; a must be nonzero."""
     while b:
@@ -601,76 +597,139 @@ def _gcd_mod_p(a: Sequence[int], b: Sequence[int], prime: int) -> list:
     return [c * inv % prime for c in a]
 
 
-def _factor_degrees_mod_p(f: Sequence[int], prime: int) -> Optional[list]:
-    """Degrees of the irreducible factors of monic f over F_p, or None when
-    f is not squarefree mod p (distinct-degree factorization)."""
+def _distinct_degree_parts(f: Sequence[int], prime: int) -> Optional[list]:
+    """Pairs (d, product of the degree-d irreducible factors) of monic f over
+    F_p, or None when f is not squarefree mod p (distinct-degree
+    factorization)."""
     f = [c % prime for c in f]
     df = [i * c % prime for i, c in enumerate(f)][1:]
     while df and df[-1] == 0:
         df.pop()
     if not df or len(_gcd_mod_p(f, df, prime)) > 1:
         return None
-    degrees = []
+    parts = []
     g, h, d = f, [0, 1], 0  # h = x^(p^d) mod g
     while 2 * (d + 1) <= len(g) - 1:
         d += 1
-        power, h = h, [1]
-        for bit in bin(prime)[2:]:
-            h = _mulmod_p(h, h, g, prime)
-            if bit == "1":
-                h = _mulmod_p(h, power, g, prime)
+        h = _powmod_p(h, prime, g, prime)
         # the product of the degree-d factors is gcd(g, x^(p^d) - x)
-        shifted = h + [0] * (2 - len(h))
-        shifted[1] = (shifted[1] - 1) % prime
-        while shifted and shifted[-1] == 0:
-            shifted.pop()
-        t = _gcd_mod_p(g, shifted, prime)
+        t = _gcd_mod_p(g, _sub_mod_p(h, [0, 1], prime), prime)
         if len(t) > 1:
-            degrees += [d] * ((len(t) - 1) // d)
+            parts.append((d, t))
             g = _divmod_mod_p(g, t, prime)[0]
             h = _divmod_mod_p(h, g, prime)[1]
     if len(g) > 1:
-        degrees.append(len(g) - 1)  # what is left has no factor of degree <= d
-    return degrees
+        parts.append((len(g) - 1, g))  # what is left has no factor of degree <= d
+    return parts
 
 
-def _factor_degree_sizes(work: IntPolynomial) -> list:
-    """Sizes k, 2 <= k <= n/2, that a monic factor of work over Z may have.
+def _factor_degree_sizes(work: IntPolynomial):
+    """(sizes, prime, parts) for the monic squarefree polynomial work.
 
     A factor over Z reduces mod p to a product of factors over F_p, so its
     degree is a sum of some of the mod-p factor degrees, for every prime p
-    where work stays squarefree. Degree 1 is left out: the caller has ruled
-    out rational roots. An empty list proves work irreducible.
+    where work stays squarefree. ``sizes`` lists the k, 1 <= k <= n/2, that
+    every prime read allows; an empty list proves work irreducible. ``prime``
+    is the odd prime with the fewest factors, and ``parts`` its
+    distinct-degree factorization. The primes below 50 are read; past them
+    only until some odd prime has kept work squarefree, which one does, since
+    finitely many primes divide the discriminant.
     """
     n = work.degree
-    sizes = set(range(2, n // 2 + 1))
-    for prime in _DEGREE_SET_PRIMES:
-        if not sizes:
+    sizes = set(range(1, n // 2 + 1))
+    best, fewest = (None, None), n + 1
+    for prime in _primes():
+        if not sizes or (prime > 50 and best[0]):
             break
-        degrees = _factor_degrees_mod_p(work.coefficients, prime)
-        if degrees is None:
+        parts = _distinct_degree_parts(work.coefficients, prime)
+        if parts is None:
             continue
+        degrees = [d for d, g in parts for _ in range((len(g) - 1) // d)]
         sums = {0}
         for d in degrees:
             sums |= {s + d for s in sums}
         sizes &= sums
-    return sorted(sizes)
+        if prime > 2 and len(degrees) < fewest:
+            best, fewest = (prime, parts), len(degrees)
+    return (sorted(sizes), *best)
+
+
+def _split_equal_degree(g: list, d: int, prime: int, rng: random.Random) -> list:
+    """The monic factors over F_p, p odd, of a squarefree g whose irreducible
+    factors all have degree d (Cantor and Zassenhaus)."""
+    if len(g) - 1 == d:
+        return [g]
+    while True:
+        a = [rng.randrange(prime) for _ in range(len(g) - 1)]
+        b = _powmod_p(a, (prime ** d - 1) // 2, g, prime)
+        h = _gcd_mod_p(g, _sub_mod_p(b, [1], prime), prime)
+        if 1 < len(h) < len(g):
+            rest = _divmod_mod_p(g, h, prime)[0]
+            return [u for v in (h, rest) for u in _split_equal_degree(v, d, prime, rng)]
+
+
+def _hensel_lift(f: Sequence[int], u: list, prime: int, modulus: int) -> list:
+    """The monic factor of f mod ``modulus``, a power of p, that is u mod p.
+
+    u is irreducible over F_p and f squarefree mod p. Linear lifting: with h
+    the cofactor of the factor g so far (mod m) and t the inverse of h mod
+    (p, u), g + m * (t * (f - g h) / m mod u) holds mod m * p.
+    """
+    t = _powmod_p(_divmod_mod_p(f, u, prime)[0], prime ** (len(u) - 1) - 2, u, prime)
+    g, m = u, prime
+    while m < modulus:
+        h = _divmod_mod_p(f, g, m)[0]
+        e = [(c - gh) // m % prime for c, gh in zip(f, _poly_mul(g, h))]
+        step = _mulmod_p(t, e, u, prime)
+        g = [c + m * s for c, s in zip(g, step + [0] * (len(g) - len(step)))]
+        m *= prime
+    return g
+
+
+def _find_factor(work: IntPolynomial, sizes: list, prime: int, parts: list) -> list:
+    """Every monic factor over Z of the monic squarefree polynomial work whose
+    degree is the least size in ``sizes`` that has one; [] when none has.
+
+    Zassenhaus: the factors mod p are lifted to p^k above twice the Mignotte
+    bound C(k, k/2) * |work|_2 on the coefficients of a factor of degree k,
+    and products of subsets whose degrees sum to a size are test-divided.
+    """
+    rng = random.Random(0)
+    local = [u for d, g in parts for u in _split_equal_degree(g, d, prime, rng)]
+    top = sizes[-1]
+    norm = math.isqrt(sum(c * c for c in work.coefficients)) + 1
+    modulus = prime
+    while modulus <= 2 * math.comb(top, top // 2) * norm:
+        modulus *= prime
+    lifted = [_hensel_lift(work.coefficients, u, prime, modulus) for u in local]
+    for k in sizes:
+        found = []
+        for length in range(1, len(lifted)):
+            for subset in combinations(lifted, length):
+                if sum(len(u) - 1 for u in subset) != k:
+                    continue
+                g = reduce(lambda a, u: [c % modulus for c in _poly_mul(a, u)], subset, [1])
+                g = IntPolynomial(c - modulus if 2 * c > modulus else c for c in g)
+                if try_divide(work, g) is not None:
+                    found.append(g)
+        if found:
+            return found
+    return []
 
 
 def is_irreducible(p: IntPolynomial, return_witness: bool = False):
-    """Irreducibility over Q of a nonconstant primitive integer polynomial.
+    """Irreducibility over Q of a nonconstant integer polynomial, decided exactly.
 
-    Exact stages run first: rational roots, then the last member of the
-    Sturm chain, which is a multiple of gcd(p, p') and so a repeated factor
-    whenever it is not a constant. The monic form is then factored by degree
-    over a few small primes (``_factor_degree_sizes``); a factor over Z has a
-    degree that every prime allows, so when no size from 2 to n/2 survives
-    (always so below degree 4), p is irreducible. Otherwise candidate
-    factors of the surviving sizes are reconstructed from subsets of
-    high-precision complex roots by rounding elementary symmetric functions;
-    exact integer division is the certificate, so the floating step only
-    proposes, and the witness is the same one that trying every size would
-    give. With return_witness=True the result is (verdict, factor-or-None).
+    With repeated roots, the last member of p's Sturm chain is a multiple of
+    gcd(p, p'), and p's irreducible factors are those of p / gcd(p, p'). A
+    squarefree p is decided on its monic form lc^(n-1) p(x/lc): factor
+    degrees mod small primes leave the sizes, 1 to n/2, that a factor over Z
+    may have (none: irreducible), and the factors mod one prime are
+    Hensel-lifted and recombined by exact division (``_find_factor``).
+
+    With return_witness=True the result is (verdict, factor-or-None). The
+    factor is canonical: the least degree, then the smallest coefficient
+    tuple of its normalized form, read from the leading coefficient down.
     """
     if p.degree < 1:
         raise ValueError("irreducibility undefined for constant polynomials")
@@ -682,40 +741,23 @@ def is_irreducible(p: IntPolynomial, return_witness: bool = False):
 
     if p.degree == 1:
         return result(True)
-    if p.constant_term == 0:
-        return result(False, IntPolynomial((0, 1)))
-    for root in _rational_roots(p):
-        factor = IntPolynomial((-root.numerator, root.denominator))
-        return result(False, factor)
     last = _sturm_chain(p)[-1]
     if len(last) > 1:
-        # repeated roots: gcd(p, p') is a proper factor
-        return result(False, IntPolynomial(last).normalized())
+        # a primitive divisor of p over Q divides it over Z (Gauss)
+        core = try_divide(p, IntPolynomial(last).normalized())
+        witness = is_irreducible(core, return_witness=True)[1]
+        return result(False, witness or core.normalized())
 
     work = p if p.is_monic else _monicize(p)
-    sizes = _factor_degree_sizes(work)
-    if not sizes:
+    sizes, prime, parts = _factor_degree_sizes(work)
+    factors = _find_factor(work, sizes, prime, parts) if sizes else []
+    if not factors:
         return result(True)
-    n = work.degree
-    max_root = 1.0 + max(abs(c) for c in work.coefficients)  # Cauchy bound
-    # symmetric functions of k roots stay below binom(k, k/2) * max_root^k;
-    # keep the rounding error a couple of orders below 1/2
-    dps = max(30, int(n * math.log10(max_root)) + n + 15)
-    with mpmath.workdps(dps):
-        monic_coeffs = [mpmath.mpf(c) for c in reversed(work.coefficients)]
-        try:
-            roots = mpmath.polyroots(monic_coeffs, maxsteps=200, extraprec=120)
-        except mpmath.libmp.NoConvergence:
-            roots = mpmath.polyroots(monic_coeffs, maxsteps=1000, extraprec=400)
-        witness = _find_factor(work, roots, sizes)
-    if witness is None:
-        return result(True)
-    if p.is_monic:
-        return result(False, witness)
     # map back through x -> lc*x and strip content
     lc = p.leading_coefficient
-    mapped = IntPolynomial(c * lc ** i for i, c in enumerate(witness.coefficients))
-    return result(False, mapped.normalized())
+    mapped = [IntPolynomial(c * lc ** i for i, c in enumerate(g.coefficients)).normalized()
+              for g in factors]
+    return result(False, min(mapped, key=lambda w: w.coefficients[::-1]))
 
 
 def is_irreducible_of_signature(p: IntPolynomial, s: int) -> bool:
@@ -730,46 +772,3 @@ def is_irreducible_of_signature(p: IntPolynomial, s: int) -> bool:
     except ValueError:
         return False
     return is_irreducible(p)
-
-
-def _find_factor(work: IntPolynomial, roots, sizes) -> Optional[IntPolynomial]:
-    """First monic factor of work, by size in ``sizes`` then subset order."""
-    from itertools import combinations
-
-    n = work.degree
-    tol = mpmath.mpf("0.125")
-    for k in sizes:
-        index_pools = combinations(range(n), k)
-        if 2 * k == n:
-            # complementary subsets give the complementary factor; fix root 0
-            index_pools = (c for c in combinations(range(n), k) if c[0] == 0)
-        for subset in index_pools:
-            # product of (x - z) over the subset, constant term first
-            poly = [mpmath.mpc(1)]
-            for idx in subset:
-                z = roots[idx]
-                nxt = [mpmath.mpc(0)] * (len(poly) + 1)
-                for i, c in enumerate(poly):
-                    nxt[i + 1] += c
-                    nxt[i] -= z * c
-                poly = nxt
-            ints = []
-            ok = True
-            for c in poly:
-                if abs(mpmath.im(c)) > tol:
-                    ok = False
-                    break
-                r = mpmath.re(c)
-                near = int(mpmath.nint(r))
-                if abs(r - near) > tol:
-                    ok = False
-                    break
-                ints.append(near)
-            if not ok:
-                continue
-            candidate = IntPolynomial(ints)
-            if candidate.degree != k:
-                continue
-            if try_divide(work, candidate) is not None:
-                return candidate
-    return None

@@ -46,7 +46,7 @@ class EmbeddedLattice:
     gram: np.ndarray
     order_disc: Union[int, Fraction]
     # rows express basis elements over the power basis 1, alpha, ..., alpha^(n-1)
-    basis_over_power: Tuple[Tuple[Fraction, ...], ...]
+    basis_over_power: Tuple[Tuple[Union[int, Fraction], ...], ...]
 
     @property
     def determinant(self) -> float:
@@ -132,18 +132,15 @@ def build_embedding(
     n = roots.degree
     s, t = roots.s, roots.t
     if basis is None:
-        rows_q = tuple(
-            tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
-            for i in range(n)
-        )
+        rows_q = tuple(tuple(int(j == i) for j in range(n)) for i in range(n))
+        change_det = 1
     else:
         if len(basis) != n or any(len(row) != n for row in basis):
             raise ValueError(f"basis must be {n}x{n}")
         rows_q = tuple(tuple(Fraction(x) for x in row) for row in basis)
-
-    change_det = _exact_det(rows_q)
-    if change_det == 0:
-        raise ValueError("singular basis")
+        change_det = _exact_det(rows_q)
+        if change_det == 0:
+            raise ValueError("singular basis")
 
     poly_disc = 1 if n == 1 else discriminant(roots.polynomial)
     order_disc_q = Fraction(poly_disc) * change_det * change_det

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import mpmath
 import numpy as np
@@ -330,27 +330,12 @@ def _aberth_roots(coeffs: Tuple[int, ...]) -> np.ndarray:
     return roots
 
 
-def _locate_roots(p: IntPolynomial, polish: Optional[bool] = None) -> np.ndarray:
-    """Raw root multiset for any polynomial with a nonzero leading coefficient.
-
-    No irreducibility or squarefreeness requirement; used for sector counting
-    where only the arguments matter.  Unpolished, it is the read-only array
-    of _aberth_roots.
-    """
-    if p.degree < 1:
-        raise ValueError("need degree >= 1")
-    roots = _aberth_roots(p.coefficients)
-    if polish is None:
-        polish = p.degree > POLISH_DEGREE_THRESHOLD
-    if polish:
-        roots = _fast_polish(p.coefficients, roots)
-    return roots
-
-
 @lru_cache(maxsize=512)
 def _find_roots_cached(coeffs: Tuple[int, ...]) -> ConjugateSet:
     p = IntPolynomial(coeffs)
-    roots = _locate_roots(p)
+    roots = _aberth_roots(coeffs)
+    if p.degree > POLISH_DEGREE_THRESHOLD:
+        roots = _fast_polish(coeffs, roots)
     ok, max_resid = _log_residual_ok(coeffs, roots)
     if not ok:
         raise RootFindingError("root finding failed")
@@ -447,7 +432,7 @@ def erdos_turan_check(
     if p.constant_term == 0 or p.leading_coefficient == 0:
         raise ValueError("nonzero constant and leading coefficients required")
     d = p.degree
-    n_sector = sector_count(_locate_roots(p, polish=False), phi, psi)
+    n_sector = sector_count(_aberth_roots(p.coefficients), phi, psi)
     lhs = abs(n_sector - (psi - phi) / (2.0 * math.pi) * d)
     length = float(sum(abs(c) for c in p.coefficients))
     ends = abs(p.leading_coefficient * p.constant_term)

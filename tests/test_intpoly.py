@@ -3,6 +3,10 @@ irreducibility.  Reference numbers come from an independent cofactor-expansion
 Sylvester determinant oracle and hand checks; they are frozen as literals.
 """
 import math
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -10,10 +14,11 @@ import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from minklat import intpoly
 from minklat.intpoly import (
     IntPolynomial,
+    _distinct_degree_parts,
     _factor_degree_sizes,
-    _factor_degrees_mod_p,
     _sturm_chain,
     discriminant,
     divmod_exact,
@@ -382,9 +387,11 @@ def test_irreducible_known_verdicts():
 
 
 def test_reducible_with_witness():
+    # x^4+x^2+1 = (x^2-x+1)(x^2+x+1); the canonical witness is the smaller
+    # coefficient tuple read from the leading coefficient down
     verdict, factor = is_irreducible(P("x^4+x^2+1"), return_witness=True)
     assert verdict is False
-    assert factor == P("x^2+x+1")
+    assert factor == P("x^2-x+1")
     assert try_divide(P("x^4+x^2+1"), factor) is not None
 
     verdict, factor = is_irreducible(multinacci_cofactor(6), return_witness=True)
@@ -395,7 +402,7 @@ def test_reducible_with_witness():
     assert verdict is False
     assert try_divide(P("x^4-4"), factor) is not None
 
-    # repeated factor, no rational root: caught by the derivative gcd
+    # repeated factor: caught by the derivative gcd
     square = P("x^2+x+1") * P("x^2+x+1")
     verdict, factor = is_irreducible(square, return_witness=True)
     assert verdict is False
@@ -414,7 +421,7 @@ def test_irreducible_handles_content_and_zero_root():
 @pytest.mark.parametrize(
     "text, witness",
     [
-        ("6x^4+2x^3+5x^2+x+1", "3x^2+x+1"),
+        ("6x^4+2x^3+5x^2+x+1", "2x^2+1"),
         ("10x^6+2x^4+17x^3+3x+3", "2x^3+3"),
         ("2x^4+1", None),
         ("2x^3+x+1", None),
@@ -428,9 +435,10 @@ def test_irreducible_handles_content_and_zero_root():
     ],
 )
 def test_non_monic_irreducibility_maps_the_witness_back(text, witness):
-    # a squarefree p without rational roots is decided on its monic form
-    # lc^(n-1) p(x/lc), whose witness is mapped back through x -> lc x; a
-    # cubic is decided by the empty set of sizes 2..n/2
+    # a squarefree p is decided on its monic form lc^(n-1) p(x/lc), whose
+    # factors are mapped back through x -> lc x; 6x^4+2x^3+5x^2+x+1 =
+    # (2x^2+1)(3x^2+x+1), and the canonical witness has the smaller leading
+    # coefficient
     verdict, factor = is_irreducible(P(text), return_witness=True)
     if witness is None:
         assert (verdict, factor) == (True, None)
@@ -495,25 +503,32 @@ def test_multinacci_family_irreducible(n):
 
 
 @pytest.fixture
-def polyroots_calls(monkeypatch):
-    """Record every mpmath.polyroots call, i.e. every root reconstruction."""
+def recombination_calls(monkeypatch):
+    """Record every _find_factor call, i.e. every Hensel recombination."""
     calls = []
-    original = mpmath.polyroots
+    original = intpoly._find_factor
 
     def spy(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(mpmath, "polyroots", spy)
+    monkeypatch.setattr(intpoly, "_find_factor", spy)
     return calls
 
 
-def test_degree_sets_decide_family_members(polyroots_calls):
+def test_degree_sets_decide_family_members(recombination_calls):
     members = [root_power(4), even_spread(10)]
     members += [multinacci(n) for n in range(2, 31)]
     for p in members:
         assert is_irreducible(p) is True, p
-    assert polyroots_calls == []
+    assert recombination_calls == []
+
+
+def _factor_degrees_mod_p(f, prime):
+    parts = _distinct_degree_parts(f, prime)
+    if parts is None:
+        return None
+    return [d for d, g in parts for _ in range((len(g) - 1) // d)]
 
 
 def test_factor_degrees_mod_p_known_factorizations():
@@ -534,19 +549,19 @@ def test_factor_left_over_by_the_degree_loop_keeps_its_size():
     cubic = P("x^3+x^2-2x-1")
     f = cubic * P("x^4+2x^2+2")
     assert sorted(_factor_degrees_mod_p(f.coefficients, 17)) == [2, 2, 3]
-    assert _factor_degree_sizes(f) == [3]
+    assert _factor_degree_sizes(f)[0] == [3]
     verdict, factor = is_irreducible(f, return_witness=True)
     assert verdict is False
     assert factor == cubic
 
 
 @pytest.mark.parametrize("text", ["x^4+1", "x^4-10x^2+1"])
-def test_irreducible_that_splits_mod_every_prime_falls_through(text, polyroots_calls):
+def test_irreducible_that_splits_mod_every_prime_falls_through(text, recombination_calls):
     # both are irreducible over Q, but split mod every prime into factors of
-    # degree at most 2, so size 2 survives and root reconstruction decides
-    assert _factor_degree_sizes(P(text)) == [2]
+    # degree at most 2, so size 2 survives and Hensel recombination decides
+    assert _factor_degree_sizes(P(text))[0] == [2]
     assert is_irreducible(P(text)) is True
-    assert len(polyroots_calls) == 1
+    assert len(recombination_calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -558,12 +573,75 @@ def test_irreducible_that_splits_mod_every_prime_falls_through(text, polyroots_c
     ],
 )
 def test_reducible_search_candidates_keep_their_witness(text, witness):
-    # reducible candidates of the degree-5 and degree-6 searches, with the
-    # witnesses that trying every subset size gives
-    assert _factor_degree_sizes(P(text)) != []
+    # reducible candidates of the degree-5 and degree-6 searches, with their
+    # canonical witnesses
+    assert _factor_degree_sizes(P(text))[0] != []
     verdict, factor = is_irreducible(P(text), return_witness=True)
     assert verdict is False
     assert factor == P(witness)
+
+
+factor_poly = st.lists(small_coeff, min_size=2, max_size=5).map(IntPolynomial)
+
+
+@given(factor_poly, factor_poly)
+@settings(max_examples=100, deadline=None)
+def test_witness_of_a_product_has_the_least_factor_degree(a, b):
+    assume(a.degree >= 1 and b.degree >= 1)
+    assume(is_irreducible(a) and is_irreducible(b))
+    f = a * b
+    verdict, factor = is_irreducible(f, return_witness=True)
+    assert verdict is False
+    assert factor.degree == min(a.degree, b.degree)
+    assert try_divide(f, factor) is not None
+
+
+def test_factor_with_larger_coefficients_than_the_product():
+    # (x^3-x^2+2x-1)(x^3-x-1) has coefficients of size 1 only; the witness
+    # has a 2, which a lift to p^k below twice the factor bound loses (mod 3,
+    # its residue x^3-x^2-x-1 does not divide and only x^3-x-1 is found)
+    f = P("x^6-x^5+x^4-x^3-x^2-x+1")
+    assert f == P("x^3-x^2+2x-1") * P("x^3-x-1")
+    assert is_irreducible(f, return_witness=True) == (False, P("x^3-x^2+2x-1"))
+
+
+def _timed_verdict(p):
+    start = time.perf_counter()
+    verdict, factor = is_irreducible(p, return_witness=True)
+    assert time.perf_counter() - start < 1.0
+    return verdict, factor
+
+
+def test_root_power_12_is_decided_exactly():
+    # degree 36: size 12 survives every degree set (mod 37 the factors have
+    # degrees 12 and 24), and recombination rules it out
+    assert _timed_verdict(root_power(12)) == (True, None)
+
+
+# the product of the odd primes below 50: both polynomials below are
+# squares mod every prime below 50, so the degree loop reads larger primes
+_Q = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47
+
+
+def test_reducible_that_no_small_prime_keeps_squarefree():
+    f = P("x^2-2") * IntPolynomial((-2 - _Q, 0, 1))
+    verdict, factor = _timed_verdict(f)
+    assert verdict is False
+    assert try_divide(f, factor) is not None
+
+
+def test_irreducible_that_no_small_prime_keeps_squarefree():
+    assert _timed_verdict(IntPolynomial((-2 * _Q, 0, 1))) == (True, None)
+
+
+def test_intpoly_leaves_mpmath_unimported():
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(intpoly.__file__)))
+    code = "import sys, minklat.intpoly; print('mpmath' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src_dir},
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_totally_real_irreducible_all_monic_cubics():

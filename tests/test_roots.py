@@ -32,9 +32,9 @@ from minklat.roots import (
     pisot_check,
     sector_count,
     _aberth,
+    _aberth_roots,
     _compensated_horner,
     _fast_polish,
-    _locate_roots,
     _newton_radius,
 )
 from minklat.verify import check_erdos_turan_suite
@@ -254,7 +254,7 @@ def test_compensated_horner_within_its_bound():
 def test_sector_counts_known():
     assert sector_count(find_roots(P("x^4+1")), 0.0, math.pi) == 2
     assert sector_count([1 + 0j, -1 + 0j], 0.0, math.pi) == 1  # arg 0 in, arg pi out
-    roots = list(_locate_roots(multinacci_cofactor(10)))
+    roots = list(_aberth_roots(multinacci_cofactor(10).coefficients))
     assert sector_count(roots, 0.0, 2 * math.pi) == 11
 
 
@@ -336,7 +336,7 @@ def test_aberth_runs_once_per_polynomial(monkeypatch):
 def test_cached_root_set_is_read_only_and_aberth_fresh():
     p = multinacci_cofactor(10)
     with pytest.raises(ValueError):
-        _locate_roots(p, polish=False)[0] = 0
+        _aberth_roots(p.coefficients)[0] = 0
     first, second = _aberth(p.coefficients), _aberth(p.coefficients)
     assert not np.shares_memory(first, second)
     first[0] = 0
