@@ -747,28 +747,37 @@ def is_irreducible(p: IntPolynomial, return_witness: bool = False):
         core = try_divide(p, IntPolynomial(last).normalized())
         witness = is_irreducible(core, return_witness=True)[1]
         return result(False, witness or core.normalized())
+    witness = _squarefree_factor(p)
+    return result(witness is None, witness)
 
+
+def _squarefree_factor(p: IntPolynomial) -> Optional[IntPolynomial]:
+    """The canonical factor of a primitive squarefree p of degree >= 2, or
+    None when p is irreducible (is_irreducible's squarefree branch)."""
     work = p if p.is_monic else _monicize(p)
     sizes, prime, parts = _factor_degree_sizes(work)
     factors = _find_factor(work, sizes, prime, parts) if sizes else []
     if not factors:
-        return result(True)
+        return None
     # map back through x -> lc*x and strip content
     lc = p.leading_coefficient
     mapped = [IntPolynomial(c * lc ** i for i, c in enumerate(g.coefficients)).normalized()
               for g in factors]
-    return result(False, min(mapped, key=lambda w: w.coefficients[::-1]))
+    return min(mapped, key=lambda w: w.coefficients[::-1])
 
 
 def is_irreducible_of_signature(p: IntPolynomial, s: int) -> bool:
     """True iff p is irreducible over Q and has exactly s real roots.
 
     The exact Sturm count decides first, since it is cheap and rejects most
-    candidates; a polynomial that is not squarefree is reducible.
+    candidates; a polynomial that is not squarefree is reducible.  The count
+    has proven p squarefree, so its Sturm chain is not built again.
     """
     try:
         if sturm_real_count(p) != s:
             return False
     except ValueError:
         return False
-    return is_irreducible(p)
+    if p.degree < 2:
+        return is_irreducible(p)
+    return _squarefree_factor(p.primitive_part()) is None

@@ -14,16 +14,24 @@ degree 6, so the default pipeline generates candidates through sound prunes:
   * one representative per {f(x), (-1)^n f(-x)} orbit is tested, both
     members are reported.
 
+Every window grows with the ball, so one walk per degree serves every
+signature: it runs on the largest ball, 2(n-1), and marks the leaves that
+each smaller signature's own windows admit, in the order that signature's
+own walk would list them. The walk is vectorized one depth at a time and
+streamed one a_1 value at a time, so memory holds one a_1 slice of leaves.
+
 A vectorized companion-eigenvalue prescreen then decides only m: it
 discards candidates whose estimated m exceeds 1 + 1e-6, a margin many orders
-above eigenvalue error at these degrees. The raw box passes through the same
-prescreen, so pruned and unpruned runs agreeing at degrees 3 and 4 validates
-the walk's prunes. Survivors face the exact stage: the Sturm count decides
-the signature, then certified irreducibility, then the size profile's m.
+above eigenvalue error at these degrees. The eigenvalues are computed once
+per leaf, and each signature applies its own estimate to them. The raw box
+passes through the same prescreen, so pruned and unpruned runs agreeing at
+degrees 3 and 4 validates the walk's prunes. Survivors face the exact stage,
+per signature: the Sturm count decides the signature, then certified
+irreducibility, then the size profile's m.
 
-_scan_signature_range runs that whole pipeline on one slice of a_1 values and
-returns the stage counts with every (coefficients, m) near or below one;
-enumerate_m_lt_one merges the slices, sorts once and splits off the
+_scan_slice runs that whole pipeline on one slice of a_1 values and returns,
+per signature, the stage counts with every (coefficients, m) near or below
+one; enumerate_m_lt_one merges the slices, sorts once and splits off the
 inconclusive band. The same walker, with its own ball, and the same mirror
 orbit serve the totally real scans too: subelement_scan and
 verify.check_smyth.
@@ -83,129 +91,168 @@ def _orbit(coeffs: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
     return tuple(sorted({coeffs, _mirror_coeffs(coeffs)}))
 
 
-def _walk_pruned(
+def _windows(
+    n: int, rho: float, totally_real: bool
+) -> Tuple[List[float], List[float], List[int]]:
+    """The walk's windows on the ball sum |alpha_i|^2 <= rho: lower[k] <= p_k
+    <= upper[k] for the Newton power sums and |a_k| <= mac[k] (Maclaurin)."""
+    upper = [0.0] * (n + 1)
+    upper[1] = math.sqrt(n * rho) * WINDOW_SLACK
+    for k in range(2, n + 1):
+        upper[k] = rho ** (k / 2) * WINDOW_SLACK
+    # An even p_k of real roots is an integer >= 0, and -1/2 lets 0 through.
+    # Power sums past p_n are not windowed: a leaf outside their windows lies
+    # outside the ball, so the search's prescreen finds m >= 1, and the scans'
+    # exact signature or p_2 test rejects it.
+    lower = [-b for b in upper]
+    if totally_real:
+        lower[2::2] = [-0.5] * (n // 2)
+    mac = [int(comb(n, i) * (rho / n) ** (i / 2) * WINDOW_SLACK) for i in range(n + 1)]
+    return upper, lower, mac
+
+
+def _window(center: np.ndarray, k: int, upper, lower, mac):
+    """Bounds lo..hi of a_k for each prefix: p_k = center - k a_k inside its
+    window, and |a_k| within the Maclaurin cap."""
+    lo = np.maximum(np.ceil((center - upper[k]) / k), -mac[k]).astype(np.int64)
+    hi = np.minimum(np.floor((center - lower[k]) / k), mac[k]).astype(np.int64)
+    return lo, hi
+
+
+def _walk(
     n: int,
     a1_values: Optional[Iterable[int]],
-    rho: float,
+    rhos: Sequence[float],
     totally_real: bool,
     unit_constant: bool,
-) -> List[Tuple[int, ...]]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Canonical candidates (a_1..a_n), one per mirror orbit, of the
-    Newton-window walk of the ball sum |alpha_i|^2 <= rho.
+    Newton-window walk of the ball sum |alpha_i|^2 <= rhos[0].
+
+    Returns the leaves as an (L, n) int64 array, in lexicographic order,
+    and an (len(rhos), L) bool array whose row j marks the leaves that the
+    walk of the ball rhos[j] <= rhos[0] lists.  Every window grows with rho,
+    so a smaller ball's walk is the larger one's, filtered by its own
+    windows, in the same order.
 
     The search passes rho = 2(s+t) and a_n = +-1 (unit_constant);
     check_smyth (rho = 3n/2) and subelement_scan (rho = bound/w_min) pass
     totally_real, which holds the even p_k in [0, rho^(k/2)), and take any
     nonzero a_n of its window.  a1_values=None walks every a_1 >= 0.
+
+    The walk runs one depth at a time on int64 columns of a_1..a_k and
+    p_1..p_k, and compares them with float windows, so every integer it
+    forms must stay below 2^53; a ball too large for that raises ValueError
+    before any array is built.
     """
-    upper = [0.0] * (n + 1)
-    upper[1] = math.sqrt(n * rho) * WINDOW_SLACK
-    for k in range(2, n + 1):
-        upper[k] = rho ** (k / 2) * WINDOW_SLACK
-    # The windows admit lower[k] <= p_k <= upper[k]; an even p_k of real
-    # roots is an integer >= 0, and -1/2 lets 0 through.  Power sums past p_n
-    # are not windowed: a leaf outside their windows lies outside the ball, so
-    # the search's prescreen finds m >= 1, and the scans' exact signature or
-    # p_2 test rejects it.
-    lower = [-b for b in upper]
-    if totally_real:
-        lower[2::2] = [-0.5] * (n // 2)
-    mac = [int(comb(n, i) * (rho / n) ** (i / 2) * WINDOW_SLACK) for i in range(n + 1)]
-    out: List[Tuple[int, ...]] = []
-    a = [0] * (n + 1)  # a[k] multiplies x^(n-k); a[0] unused
-    p = [0] * n  # p[k] is the power sum p_k of the fixed a_1..a_k
-
-    def emit_leaf(sym_open: bool):
-        # a_n at odd n is the orbit's last sign choice: with the orbit still
-        # open, only a_n > 0 is canonical
-        center = -sum(a[i] * p[n - i] for i in range(1, n))
-        if unit_constant:
-            choices = (1,) if (sym_open and n % 2) else (-1, 1)
-        else:
-            lo = max(math.ceil((center - upper[n]) / n), -mac[n])
-            hi = min(math.floor((center - lower[n]) / n), mac[n])
-            if sym_open and n % 2:
-                lo = max(lo, 1)
-            choices = [an for an in range(lo, hi + 1) if an]
-        for an in choices:
-            if abs(center - n * an) >= upper[n]:
-                continue
-            a[n] = an
-            f_at_1 = 1 + sum(a[1:])
-            f_at_m1 = (-1) ** n + sum(
-                a[i] * (-1) ** (n - i) for i in range(1, n + 1)
-            )
-            if f_at_1 and f_at_m1:
-                out.append(tuple(a[1:]))
-        a[n] = 0
-
-    def walk(k: int, sym_open: bool):
-        if k == n:
-            emit_leaf(sym_open)
-            return
-        center = -sum(a[i] * p[k - i] for i in range(1, k))
-        lo = math.ceil((center - upper[k]) / k)
-        hi = math.floor((center - lower[k]) / k)
-        lo = max(lo, -mac[k])
-        hi = min(hi, mac[k])
-        odd = k % 2 == 1
-        if odd and sym_open:
-            lo = max(lo, 0)
-        for ak in range(lo, hi + 1):
-            a[k] = ak
-            p[k] = center - k * ak
-            walk(k + 1, sym_open and not (odd and ak))
-        a[k] = 0
-
-    a1_bound = min(upper[1], mac[1])
+    if any(rho > rhos[0] for rho in rhos):
+        raise ValueError("the walked ball rhos[0] must be the largest")
+    too_large = f"ball radius {rhos[0]} too large for an exact walk"
+    if not n * math.log2(rhos[0]) < 106:  # rho^(n/2) >= 2^53, or infinite
+        raise ValueError(too_large)
+    windows = [_windows(n, rho, totally_real) for rho in rhos]
+    upper, lower, mac = windows[0]
+    # |p_j| <= upper[j] and |a_i| <= mac[i] bound every integer formed: the
+    # Newton sums center = p_k + k a_k and the leaf's p_n
+    reach = max(
+        sum(mac[i] * upper[k - i] for i in range(1, k)) + k * mac[k]
+        for k in range(1, n + 1)
+    )
+    if reach >= 2.0**53:
+        raise ValueError(too_large)
+    a1_bounds = [min(u[1], m[1]) for u, _, m in windows]
     if a1_values is None:
-        a1_values = range(int(a1_bound) + 1)
-    for a1 in a1_values:
-        if abs(a1) > a1_bound or a1 < 0:
-            continue
-        a[1] = a1
-        p[1] = -a1
-        walk(2, a1 == 0)
-    return out
+        a1_values = range(int(a1_bounds[0]) + 1)
+    first = [a1 for a1 in a1_values if 0 <= a1 <= a1_bounds[0]]
+    a = [np.array(first, dtype=np.int64)]  # a[k-1] is the column of a_k
+    p = [-a[0]]  # p[k-1] is the power sum p_k of the fixed a_1..a_k
+    sym_open = a[0] == 0
+    admitted = np.array([a[0] <= bound for bound in a1_bounds])
+    for k in range(2, n + 1):
+        center = -sum(a[i - 1] * p[k - i - 1] for i in range(1, k))
+        unit_leaf = k == n and unit_constant
+        if unit_leaf:
+            lo, hi = np.full_like(center, -1), np.ones_like(center)
+        else:
+            lo, hi = _window(center, k, upper, lower, mac)
+        odd = k % 2 == 1
+        if odd:
+            # with the orbit still open only a_k >= 0 is canonical; a_n = 0
+            # is dropped at the leaf
+            lo = np.where(sym_open, np.maximum(lo, 0), lo)
+        # every prefix's children a_k = lo..hi, ascending, kept contiguous
+        count = np.maximum(hi - lo + 1, 0)
+        parent = np.repeat(np.arange(len(count)), count)
+        ak = np.repeat(lo - (np.cumsum(count) - count), count) + np.arange(len(parent))
+        pk = center[parent] - k * ak
+        admitted = admitted[:, parent]
+        if not unit_leaf:
+            for j, (u, lw, m) in enumerate(windows[1:], start=1):
+                lo_j, hi_j = _window(center, k, u, lw, m)
+                admitted[j] &= (ak >= lo_j[parent]) & (ak <= hi_j[parent])
+        if k == n:
+            break
+        a = [col[parent] for col in a] + [ak]
+        p = [col[parent] for col in p] + [pk]
+        sym_open = sym_open[parent] & ~(odd & (ak != 0))
+    # the leaf tests, before any prefix column is gathered: a_n != 0,
+    # |p_n| < upper[n], f(1) != 0 and f(-1) != 0 (else reducible)
+    f_at_1 = (1 + sum(a))[parent] + ak
+    alternating = sum(c if (n - i) % 2 == 0 else -c for i, c in enumerate(a, 1))
+    f_at_m1 = ((-1) ** n + alternating)[parent] + ak
+    pn = np.abs(pk)
+    keep = (ak != 0) & (pn < upper[n]) & (f_at_1 != 0) & (f_at_m1 != 0)
+    for j, (u, _, _) in enumerate(windows[1:], start=1):
+        admitted[j] &= pn < u[n]
+    parent = parent[keep]
+    leaves = np.empty((len(parent), n), dtype=np.int64)
+    for i, col in enumerate(a):
+        leaves[:, i] = col[parent]
+    leaves[:, n - 1] = ak[keep]
+    return leaves, admitted[:, keep]
 
 
-def _walk_raw(
-    n: int, s_plus_t: int, a1_values: Iterable[int]
-) -> List[Tuple[int, ...]]:
-    """Full coefficient box, no prunes beyond the box itself."""
+def _box(n: int, s_plus_t: int, a1_values: Iterable[int]) -> np.ndarray:
+    """Full coefficient box, no prunes beyond the box itself, as an (L, n)
+    int64 array in lexicographic order."""
     bounds = coefficient_bounds(n, s_plus_t)
     a1_in_box = [a1 for a1 in a1_values if abs(a1) <= bounds[0]]
-    return list(product(a1_in_box, *(range(-b, b + 1) for b in bounds[1:])))
+    box = product(a1_in_box, *(range(-b, b + 1) for b in bounds[1:]))
+    return np.array(list(box), dtype=np.int64).reshape(-1, n)
 
 
 # -- eigenvalue prescreen -------------------------------------------------------------
 
-def _prescreen(
-    cands: Sequence[Tuple[int, ...]], n: int, st: int
-) -> List[Tuple[int, ...]]:
-    """Safe numeric discard on estimated m alone; keeps anything ambiguous.
-
-    A root that is not clearly real is counted as half of a complex pair,
-    which can only lower the estimate.
-    """
-    kept: List[Tuple[int, ...]] = []
-    for lo in range(0, len(cands), PRESCREEN_CHUNK):
-        chunk = cands[lo : lo + PRESCREEN_CHUNK]
-        block = np.asarray(chunk, dtype=np.float64)
-        k = len(block)
-        companion = np.zeros((k, n, n))
+def _companion_sums(leaves: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per leaf, from its companion eigenvalues: the sum of |root|^2 over
+    the clearly real roots, and over all roots.  One eigen-solve serves
+    every signature's m estimate."""
+    k, n = leaves.shape
+    real_part, total = np.empty(k), np.empty(k)
+    for lo in range(0, k, PRESCREEN_CHUNK):
+        block = leaves[lo : lo + PRESCREEN_CHUNK]
+        companion = np.zeros((len(block), n, n))
         if n > 1:
             companion[:, 1:, :-1] = np.eye(n - 1)
         companion[:, 0, :] = -block
         ev = np.linalg.eigvals(companion)
         mod2 = ev.real**2 + ev.imag**2
         clearly_real = np.abs(ev.imag) < 1e-7 * (1 + np.abs(ev.real))
-        total = mod2.sum(axis=1)
-        real_part = np.where(clearly_real, mod2, 0.0).sum(axis=1)
-        m_est = (real_part + (total - real_part) / 2.0) / st
-        discard = m_est > 1.0 + PRESCREEN_M_GUARD
-        kept.extend(chunk[i] for i in np.nonzero(~discard)[0])
-    return kept
+        total[lo : lo + len(block)] = mod2.sum(axis=1)
+        real_part[lo : lo + len(block)] = np.where(clearly_real, mod2, 0.0).sum(axis=1)
+    return real_part, total
+
+
+def _prescreen(sums: Tuple[np.ndarray, np.ndarray], st: int) -> np.ndarray:
+    """Safe numeric discard on estimated m alone: True where a leaf is kept,
+    which includes anything ambiguous.
+
+    A root that is not clearly real is counted as half of a complex pair,
+    which can only lower the estimate.
+    """
+    real_part, total = sums
+    m_est = (real_part + (total - real_part) / 2.0) / st
+    return ~(m_est > 1.0 + PRESCREEN_M_GUARD)
 
 
 # -- exact stage ----------------------------------------------------------------------
@@ -282,38 +329,51 @@ def _m_value(coeffs: Sequence[int], n: int) -> float:
     return size_profile(find_roots(_to_polynomial(coeffs, n))).m
 
 
-def _scan_signature_range(
-    n: int, s: int, t: int, a1_values: Sequence[int], prune: bool
-) -> Tuple[Counter, List[Tuple[Tuple[int, ...], float]]]:
-    """The per-signature pipeline: walk, prescreen, exact signature and
-    irreducibility, then m.  Returns the stage counts and every (a_1..a_n, m)
-    with m <= 1 + M_GUARD; the pruned walk lists one member per mirror orbit,
-    so there the mirror is returned too where its own m passes that test.
+def _scan_slice(
+    n: int, signatures: Sequence[Tuple[int, int]], a1_values: Sequence[int], prune: bool
+) -> List[Tuple[Counter, List[Tuple[Tuple[int, ...], float]]]]:
+    """The search pipeline on one slice of a_1 values, for every signature
+    of the degree at once: walk, prescreen, exact signature and
+    irreducibility, then m.
+
+    The pruned walk runs once per a_1 value, on the largest ball (the
+    signatures come largest s+t first), and marks the leaves each smaller
+    ball admits; the companion eigenvalues are computed once per leaf. The
+    raw box has one signature per degree.  Returns, per signature, the stage
+    counts and every (a_1..a_n, m) with m <= 1 + M_GUARD; the pruned walk
+    lists one member per mirror orbit, so there the mirror is returned too
+    where its own m passes that test.
     """
-    if prune:
-        leaves = _walk_pruned(n, a1_values, 2 * (s + t), False, True)
-    else:
-        leaves = _walk_raw(n, s + t, a1_values)
-    survivors = _prescreen(leaves, n, s + t)
-    counts = Counter(generated=len(leaves), passed_prescreen=len(survivors))
-    found: List[Tuple[Tuple[int, ...], float]] = []
-    for coeffs in survivors:
-        if not is_irreducible_of_signature(_to_polynomial(coeffs, n), s):
-            continue
-        counts["passed_irreducibility"] += 1
-        m = _m_value(coeffs, n)
-        if m > 1.0 + M_GUARD:
-            continue
-        found.append((coeffs, m))
-        mirror = _mirror_coeffs(coeffs)
-        if prune and mirror != coeffs:
-            # the mirror passes the same filters by symmetry; its m is
-            # mathematically equal but recomputed from its own roots so the
-            # float agrees bit-for-bit with an unpruned run
-            mirror_m = _m_value(mirror, n)
-            if mirror_m <= 1.0 + M_GUARD:
-                found.append((mirror, mirror_m))
-    return counts, found
+    sts = [s + t for s, t in signatures]
+    parts = [(Counter(generated=0, passed_prescreen=0), []) for _ in signatures]
+    for a1 in a1_values:
+        if prune:
+            leaves, admitted = _walk(n, [a1], [2 * st for st in sts], False, True)
+        else:
+            leaves = _box(n, sts[0], [a1])
+            admitted = np.ones((1, len(leaves)), dtype=bool)
+        sums = _companion_sums(leaves)
+        for (s, _), st, mask, (counts, found) in zip(signatures, sts, admitted, parts):
+            survivors = leaves[mask & _prescreen(sums, st)].tolist()
+            counts["generated"] += int(mask.sum())
+            counts["passed_prescreen"] += len(survivors)
+            for coeffs in map(tuple, survivors):
+                if not is_irreducible_of_signature(_to_polynomial(coeffs, n), s):
+                    continue
+                counts["passed_irreducibility"] += 1
+                m = _m_value(coeffs, n)
+                if m > 1.0 + M_GUARD:
+                    continue
+                found.append((coeffs, m))
+                mirror = _mirror_coeffs(coeffs)
+                if prune and mirror != coeffs:
+                    # the mirror passes the same filters by symmetry; its m is
+                    # mathematically equal but recomputed from its own roots
+                    # so the float agrees bit-for-bit with an unpruned run
+                    mirror_m = _m_value(mirror, n)
+                    if mirror_m <= 1.0 + M_GUARD:
+                        found.append((mirror, mirror_m))
+    return parts
 
 
 def enumerate_m_lt_one(
@@ -326,7 +386,8 @@ def enumerate_m_lt_one(
 
     With prune=False the full raw coefficient box is enumerated instead
     (feasible through degree 4 only) and the same exact filters applied;
-    the two modes must agree polynomial-for-polynomial.
+    the two modes must agree polynomial-for-polynomial.  Threads split the
+    a_1 values of the degree.
     """
     if not 2 <= n <= MAX_SEARCH_DEGREE:
         raise ValueError(f"degree must be within [2, {MAX_SEARCH_DEGREE}]")
@@ -343,10 +404,9 @@ def enumerate_m_lt_one(
     stats = Counter(
         generated=0, passed_prescreen=0, passed_irreducibility=0, passed_m=0
     )
-    groups = []
-    inconclusive: List[Tuple[IntPolynomial, float]] = []
-    for s, t in signatures:
-        st = s + t
+    parts = []
+    if signatures:
+        st = sum(signatures[0])  # the largest ball
         if prune:
             a1_cap = int(math.sqrt(2 * n * st) * WINDOW_SLACK)
             a1_values = list(range(0, a1_cap + 1))
@@ -354,14 +414,18 @@ def enumerate_m_lt_one(
             a1_cap = coefficient_bounds(n, st)[0]
             a1_values = list(range(-a1_cap, a1_cap + 1))
         workers = max(1, min(threads, len(a1_values)))
-        jobs = [(n, s, t, a1_values[i::workers], prune) for i in range(workers)]
+        jobs = [(n, signatures, a1_values[i::workers], prune) for i in range(workers)]
         if workers == 1:
-            parts = [_scan_signature_range(*jobs[0])]
+            parts = [_scan_slice(*jobs[0])]
         else:
             with multiprocessing.get_context("fork").Pool(workers) as pool:
-                parts = pool.starmap(_scan_signature_range, jobs)
+                parts = pool.starmap(_scan_slice, jobs)
+    groups = []
+    inconclusive: List[Tuple[IntPolynomial, float]] = []
+    for j, (s, t) in enumerate(signatures):
         found: List[Tuple[IntPolynomial, float]] = []
-        for counts, pairs in parts:
+        for part in parts:
+            counts, pairs = part[j]
             stats.update(counts)
             found.extend((_to_polynomial(c, n), m) for c, m in pairs)
         found.sort(key=lambda pm: (pm[1], pm[0].coefficients))
@@ -399,7 +463,8 @@ def subelement_scan(
         raise ValueError("unsupported subelement pattern")
     w_desc = sorted(weights, reverse=True)
     violators: List[IntPolynomial] = []
-    for coeffs in _walk_pruned(degree, None, bound_sq / w_desc[-1], True, False):
+    leaves, _ = _walk(degree, None, [bound_sq / w_desc[-1]], True, False)
+    for coeffs in map(tuple, leaves.tolist()):
         poly = _to_polynomial(coeffs, degree)
         if not is_irreducible_of_signature(poly, degree):
             continue

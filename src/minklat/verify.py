@@ -44,7 +44,7 @@ from .search import (
     SearchReport,
     _orbit,
     _to_polynomial,
-    _walk_pruned,
+    _walk,
     enumerate_m_lt_one,
 )
 
@@ -520,7 +520,8 @@ def check_smyth(max_degree: int = 5) -> CheckRecord:
     equality: List[str] = []
     scanned = 0
     for n in range(2, max_degree + 1):
-        for coeffs in _walk_pruned(n, None, 1.5 * n, True, False):
+        leaves, _ = _walk(n, None, [1.5 * n], True, False)
+        for coeffs in map(tuple, leaves.tolist()):
             # the mirror's roots are the negatives: same verdict, same p2
             members = _orbit(coeffs)
             scanned += len(members)

@@ -668,3 +668,25 @@ def test_totally_real_irreducible_rejects_repeated_roots():
     assert not is_irreducible_of_signature(P("x^3-x-1"), 3)
     assert is_irreducible_of_signature(P("x^3-x-1"), 1)
     assert is_irreducible_of_signature(P("x^6+x^2-1"), 2)
+
+
+def test_signature_test_builds_one_sturm_chain(monkeypatch):
+    # the Sturm count proves p squarefree, so is_irreducible's own chain
+    # (its squarefree test) is not built again
+    builds = []
+    original = intpoly._sturm_chain
+
+    def spy(p):
+        builds.append(p)
+        return original(p)
+
+    monkeypatch.setattr(intpoly, "_sturm_chain", spy)
+    for text, s, expected in [
+        ("x^3-x-1", 1, True),  # irreducible
+        ("x^3-2x^2-x+2", 3, False),  # (x-2)(x-1)(x+1)
+        ("x^3-x^2-x-2", 1, False),  # (x-2)(x^2+x+1)
+        ("2x^3-2x-2", 1, True),  # content 2
+    ]:
+        builds.clear()
+        assert is_irreducible_of_signature(P(text), s) is expected, text
+        assert len(builds) == 1, text

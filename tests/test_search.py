@@ -11,6 +11,7 @@ even count plus the singleton count, and all 6 singletons are certified.
 import math
 from math import comb, factorial, isqrt
 
+import numpy as np
 import pytest
 
 from minklat.constants import UNIVERSAL_M_FLOOR
@@ -25,10 +26,11 @@ from minklat import search
 from minklat.search import (
     M_GUARD,
     WINDOW_SLACK,
+    _companion_sums,
     _mirror_coeffs,
     _prescreen,
     _to_polynomial,
-    _walk_pruned,
+    _walk,
     admissible_signatures,
     coefficient_bounds,
     enumerate_m_lt_one,
@@ -247,6 +249,22 @@ def test_counts_match_lengths(search_report_5, search_report_6):
         assert r.wall_time > 0
 
 
+def test_search_counters_degree5(search_report_5):
+    assert search_report_5.stats == {
+        "generated": 22911,
+        "passed_prescreen": 403,
+        "passed_irreducibility": 11,
+        "passed_m": 22,
+    }
+
+
+@pytest.mark.slow
+def test_search_counters_degree6(search_report_6):
+    # (4,1): 3,560,524 leaves, 6,146 pass the prescreen; (2,2): 671,577 and 751
+    assert search_report_6.stats["generated"] == 4232101
+    assert search_report_6.stats["passed_prescreen"] == 6897
+
+
 @pytest.mark.slow
 def test_entries_sorted_ascending(search_report_6):
     for g in search_report_6.groups:
@@ -266,7 +284,8 @@ def test_prescreen_keeps_every_table_member_and_its_mirror():
             s = sturm_real_count(p)
             coeffs = tuple(reversed(p.coefficients[:-1]))  # a_1..a_n
             for c in (coeffs, _mirror_coeffs(coeffs)):
-                assert _prescreen([c], n, s + (n - s) // 2) == [c], (text, c)
+                sums = _companion_sums(np.array([c], dtype=np.int64))
+                assert _prescreen(sums, s + (n - s) // 2).tolist() == [True], (text, c)
 
 
 def test_pruned_equals_raw_degree3(search_report_3):
@@ -284,8 +303,8 @@ def test_pruned_scan_drops_a_mirror_whose_own_m_is_above_the_guard(monkeypatch):
     # the mirror's m is computed from its own roots; where that float lands
     # above 1 + M_GUARD the mirror is dropped, as an unpruned run drops it
     a1_values = [0, 1, 2]
-    _, found = search._scan_signature_range(3, 1, 1, a1_values, True)
-    leaves = set(_walk_pruned(3, a1_values, 4, False, True))
+    [(_, found)] = search._scan_slice(3, [(1, 1)], a1_values, True)
+    leaves = set(_leaves(3, a1_values, 4, False, True))
     pushed = {_mirror_coeffs(c) for c in leaves} - leaves
     assert pushed & {c for c, _ in found}
     real_m_value = search._m_value
@@ -294,7 +313,7 @@ def test_pruned_scan_drops_a_mirror_whose_own_m_is_above_the_guard(monkeypatch):
         return 1.0 + 2 * M_GUARD if coeffs in pushed else real_m_value(coeffs, n)
 
     monkeypatch.setattr(search, "_m_value", m_value)
-    _, kept = search._scan_signature_range(3, 1, 1, a1_values, True)
+    [(_, kept)] = search._scan_slice(3, [(1, 1)], a1_values, True)
     assert kept == [(c, m) for c, m in found if c not in pushed]
 
 
@@ -378,8 +397,139 @@ def _window_box(n, rho, totally_real, unit_constant):
     return found
 
 
+def _leaves(n, a1_values, rho, totally_real, unit_constant):
+    leaves, admitted = _walk(n, a1_values, [rho], totally_real, unit_constant)
+    assert admitted.all()
+    return [tuple(c) for c in leaves.tolist()]
+
+
+def _walk_reference(n, a1_values, rho, totally_real, unit_constant):
+    """The recursive, depth-first form of the Newton-window walk, with the
+    same float window expressions: the order oracle for the vectorized
+    search._walk."""
+    upper = [0.0] * (n + 1)
+    upper[1] = math.sqrt(n * rho) * WINDOW_SLACK
+    for k in range(2, n + 1):
+        upper[k] = rho ** (k / 2) * WINDOW_SLACK
+    lower = [-b for b in upper]
+    if totally_real:
+        lower[2::2] = [-0.5] * (n // 2)
+    mac = [int(comb(n, i) * (rho / n) ** (i / 2) * WINDOW_SLACK) for i in range(n + 1)]
+    out = []
+    a = [0] * (n + 1)  # a[k] multiplies x^(n-k); a[0] unused
+    p = [0] * n  # p[k] is the power sum p_k of the fixed a_1..a_k
+
+    def emit_leaf(sym_open):
+        center = -sum(a[i] * p[n - i] for i in range(1, n))
+        if unit_constant:
+            choices = (1,) if (sym_open and n % 2) else (-1, 1)
+        else:
+            lo = max(math.ceil((center - upper[n]) / n), -mac[n])
+            hi = min(math.floor((center - lower[n]) / n), mac[n])
+            if sym_open and n % 2:
+                lo = max(lo, 1)
+            choices = [an for an in range(lo, hi + 1) if an]
+        for an in choices:
+            if abs(center - n * an) >= upper[n]:
+                continue
+            a[n] = an
+            f_at_1 = 1 + sum(a[1:])
+            f_at_m1 = (-1) ** n + sum(a[i] * (-1) ** (n - i) for i in range(1, n + 1))
+            if f_at_1 and f_at_m1:
+                out.append(tuple(a[1:]))
+        a[n] = 0
+
+    def walk(k, sym_open):
+        if k == n:
+            emit_leaf(sym_open)
+            return
+        center = -sum(a[i] * p[k - i] for i in range(1, k))
+        lo = max(math.ceil((center - upper[k]) / k), -mac[k])
+        hi = min(math.floor((center - lower[k]) / k), mac[k])
+        odd = k % 2 == 1
+        if odd and sym_open:
+            lo = max(lo, 0)
+        for ak in range(lo, hi + 1):
+            a[k] = ak
+            p[k] = center - k * ak
+            walk(k + 1, sym_open and not (odd and ak))
+        a[k] = 0
+
+    a1_bound = min(upper[1], mac[1])
+    if a1_values is None:
+        a1_values = range(int(a1_bound) + 1)
+    for a1 in a1_values:
+        if abs(a1) > a1_bound or a1 < 0:
+            continue
+        a[1] = a1
+        p[1] = -a1
+        walk(2, a1 == 0)
+    return out
+
+
+WALK_BALLS = (
+    # the search's balls rho = 2(s+t), a_n = +-1
+    [(n, 2 * (s + t), False, True) for n in (3, 4, 5) for s, t in admissible_signatures(n)]
+    # check_smyth's totally real balls rho = 3n/2
+    + [(n, 1.5 * n, True, False) for n in (2, 3, 4, 5)]
+    # the subelement balls bound/w_min of test_subelement_reference_boxes_empty
+    + [(2, 3.0, True, False), (3, 4.0, True, False), (3, 5.0, True, False)]
+)
+
+
+@pytest.mark.parametrize("n, rho, totally_real, unit_constant", WALK_BALLS)
+def test_walk_lists_the_reference_leaves_in_order(n, rho, totally_real, unit_constant):
+    reference = _walk_reference(n, None, rho, totally_real, unit_constant)
+    assert reference  # the oracle is not vacuous
+    assert _leaves(n, None, rho, totally_real, unit_constant) == reference
+
+
+def _assert_nested(n):
+    # the per-degree walk, one a_1 value at a time as the search runs it:
+    # each signature's admitted leaves are that signature's own walk
+    rhos = [2 * (s + t) for s, t in admissible_signatures(n)]
+    a1_cap = int(math.sqrt(n * rhos[0]) * WINDOW_SLACK)
+    for a1 in range(a1_cap + 1):
+        leaves, admitted = _walk(n, [a1], rhos, False, True)
+        assert admitted[0].all()
+        for rho, mask in zip(rhos[1:], admitted[1:]):
+            assert [tuple(c) for c in leaves[mask].tolist()] == _leaves(
+                n, [a1], rho, False, True
+            ), (a1, rho)
+
+
+def test_walk_nests_the_smaller_signature_degree5():
+    _assert_nested(5)
+
+
+@pytest.mark.slow
+def test_walk_nests_the_smaller_signature_degree6():
+    _assert_nested(6)
+
+
+@pytest.mark.parametrize("bound_sq", [1e12, 1e300, math.inf])
+def test_walk_refuses_a_ball_beyond_exact_float_range(monkeypatch, bound_sq):
+    # rho^(3/2) >= 1e18 > 2^53: an int64 walk could no longer be compared
+    # exactly with its float windows, so it must fail before building
+    # any array (and before a window overflows a float)
+    def no_array(*args, **kwargs):
+        raise AssertionError("array built before the range check")
+
+    for name in ("array", "asarray", "repeat", "arange", "full_like", "empty"):
+        monkeypatch.setattr(np, name, no_array)
+    with pytest.raises(ValueError, match="too large"):
+        subelement_scan(bound_sq, 3, (1, 1, 1))
+
+
+def test_walk_refuses_a_newton_sum_beyond_exact_float_range():
+    # rho^(3/2) = 5.2e15 < 2^53, but the Newton sum a_1 p_2 + a_2 p_1 + 3 a_3
+    # of the ball can reach about 4 rho^(3/2) = 2.1e16, past 2^53
+    with pytest.raises(ValueError, match="too large"):
+        _walk(3, None, [3e10], True, False)
+
+
 def _walk_with_mirrors(n, rho, totally_real, unit_constant):
-    walk = _walk_pruned(n, None, rho, totally_real, unit_constant)
+    walk = _leaves(n, None, rho, totally_real, unit_constant)
     assert len(set(walk)) == len(walk)
     return set(walk) | {_mirror_coeffs(c) for c in walk}
 
