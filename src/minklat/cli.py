@@ -81,14 +81,6 @@ def _parse_signature(text: Optional[str]) -> Optional[Tuple[int, int]]:
         raise click.UsageError("signature must be two integers, e.g. 2,2")
 
 
-def _emit(text: str) -> None:
-    click.echo(text)
-
-
-def _fail(exc: Exception) -> None:
-    raise click.ClickException(str(exc))
-
-
 _FORMAT = click.option(
     "--format",
     "fmt",
@@ -153,7 +145,7 @@ def analyze(
                 "caveat": LINEAR_DISJOINTNESS_CAVEAT,
             }
     except (ValueError, RuntimeError, ArithmeticError) as exc:
-        _fail(exc)
+        raise click.ClickException(str(exc))
     if fmt == "json":
         payload = prof.to_json_dict()
         payload["polynomial"] = p.to_text()
@@ -162,23 +154,23 @@ def analyze(
         payload["clears_signature_bound"] = prof.m >= bound
         if rel is not None:
             payload["relative"] = rel
-        _emit(json.dumps(payload, indent=2, sort_keys=True))
+        click.echo(json.dumps(payload, indent=2, sort_keys=True))
         return
     d = precision
     if fmt == "csv":
         if rel is None:
-            _emit("polynomial,s,t,m,lower_bound")
-            _emit(prof.csv_row())
+            click.echo("polynomial,s,t,m,lower_bound")
+            click.echo(prof.csv_row())
         else:
-            _emit(
+            click.echo(
                 "polynomial,s,t,m,lower_bound,ext_s,ext_t,"
                 "relative_square_size,relative_m"
             )
-            _emit(
+            click.echo(
                 f"{prof.csv_row()},{ext_sig[0]},{ext_sig[1]},"
                 f"{rel['relative_square_size']:.{d}f},{rel['relative_m']:.{d}f}"
             )
-            _emit(f"# {LINEAR_DISJOINTNESS_CAVEAT}")
+            click.echo(f"# {LINEAR_DISJOINTNESS_CAVEAT}")
         return
     lines = [
         f"polynomial      {p.to_text()}",
@@ -204,7 +196,7 @@ def analyze(
             f"m < 1 in comp.  {rel['m_below_one_in_compositum']}",
             f"note: {LINEAR_DISJOINTNESS_CAVEAT}",
         ]
-    _emit("\n".join(lines))
+    click.echo("\n".join(lines))
 
 
 @main.command()
@@ -227,18 +219,18 @@ def search(
             degree, signature_filter=sig, prune=not no_prune, threads=threads
         )
     except (ValueError, RuntimeError, ArithmeticError) as exc:
-        _fail(exc)
+        raise click.ClickException(str(exc))
     if fmt == "json":
         payload = report.to_json_dict()
         # timing is diagnostics, not report content; keep reports byte-stable
         payload.pop("wall_time", None)
-        _emit(json.dumps(payload, indent=2, sort_keys=True))
+        click.echo(json.dumps(payload, indent=2, sort_keys=True))
         return
     rows = report.csv_rows()
     if fmt == "csv":
-        _emit("signature,polynomial,m,lower_bound")
+        click.echo("signature,polynomial,m,lower_bound")
         for row in rows:
-            _emit(",".join(row))
+            click.echo(",".join(row))
         return
     lines = [f"degree {degree}: {report.total_count()} polynomials with m < 1"]
     for group in report.groups:
@@ -254,7 +246,7 @@ def search(
         lines.append("inconclusive (within 1e-9 of 1):")
         for poly, m in report.inconclusive:
             lines.append(f"  {poly.to_text()}  m={m!r}")
-    _emit("\n".join(lines))
+    click.echo("\n".join(lines))
 
 
 @main.command()
@@ -270,7 +262,7 @@ def lattice(polynomial: str, fmt: str, precision: int) -> None:
         lat = build_embedding(roots)
         sv = shortest_vector(lat)
     except (ValueError, RuntimeError, ArithmeticError) as exc:
-        _fail(exc)
+        raise click.ClickException(str(exc))
     if fmt == "json":
         payload = {
             "polynomial": p.to_text(),
@@ -281,18 +273,18 @@ def lattice(polynomial: str, fmt: str, precision: int) -> None:
             "shortest": sv.to_json_dict(),
             "caveat": ORDER_CAVEAT,
         }
-        _emit(json.dumps(payload, indent=2, sort_keys=True))
+        click.echo(json.dumps(payload, indent=2, sort_keys=True))
         return
     d = precision
     if fmt == "csv":
-        _emit("polynomial,dimension,s,t,d_squared,m,coordinates,minimizer_minpoly")
+        click.echo("polynomial,dimension,s,t,d_squared,m,coordinates,minimizer_minpoly")
         coords = " ".join(str(c) for c in sv.coordinates)
         minpoly = sv.minimizer_minpoly.to_text() if sv.minimizer_minpoly else ""
-        _emit(
+        click.echo(
             f"{p.to_text()},{lat.dimension},{lat.signature[0]},{lat.signature[1]},"
             f"{sv.squared_length:.{d}f},{sv.m_value:.{d}f},{coords},{minpoly}"
         )
-        _emit(f"# {ORDER_CAVEAT}")
+        click.echo(f"# {ORDER_CAVEAT}")
         return
     lines = [
         f"polynomial      {p.to_text()}",
@@ -309,7 +301,7 @@ def lattice(polynomial: str, fmt: str, precision: int) -> None:
         f"method          {sv.method}",
         f"note: {ORDER_CAVEAT}",
     ]
-    _emit("\n".join(lines))
+    click.echo("\n".join(lines))
 
 
 @main.command()
@@ -371,14 +363,14 @@ def family(kind: str, n: int, fmt: str, precision: int) -> None:
                 "irreducibility": rec.parameters["irreducibility"],
             }
     except (ValueError, RuntimeError, ArithmeticError) as exc:
-        _fail(exc)
+        raise click.ClickException(str(exc))
     if fmt == "json":
         payload = {"kind": kind, "n": n, "polynomial": p.to_text(), "checks": checks}
-        _emit(json.dumps(payload, indent=2, sort_keys=True))
+        click.echo(json.dumps(payload, indent=2, sort_keys=True))
         return
     if fmt == "csv":
-        _emit("kind,n,polynomial," + ",".join(checks))
-        _emit(
+        click.echo("kind,n,polynomial," + ",".join(checks))
+        click.echo(
             f"{kind},{n},{p.to_text()},"
             + ",".join(str(v) for v in checks.values())
         )
@@ -386,7 +378,7 @@ def family(kind: str, n: int, fmt: str, precision: int) -> None:
     lines = [f"kind        {kind}", f"n           {n}", f"polynomial  {p.to_text()}"]
     for key, value in checks.items():
         lines.append(f"{key:<18} {value}")
-    _emit("\n".join(lines))
+    click.echo("\n".join(lines))
 
 
 @main.command()
@@ -403,15 +395,15 @@ def verify(suite: str, fmt: str) -> None:
     try:
         records = run_suite(suite)
     except (ValueError, RuntimeError, ArithmeticError) as exc:
-        _fail(exc)
+        raise click.ClickException(str(exc))
     failed = [r for r in records if r.verdict != "pass"]
     if fmt == "json":
-        _emit(json.dumps([r.to_json_dict() for r in records], indent=2, sort_keys=True))
+        click.echo(json.dumps([r.to_json_dict() for r in records], indent=2, sort_keys=True))
     elif fmt == "csv":
-        _emit("check_id,parameters,observed,predicted,residual,scaled_residual,verdict")
+        click.echo("check_id,parameters,observed,predicted,residual,scaled_residual,verdict")
         for r in records:
             params = json.dumps(r.parameters, sort_keys=True, default=str)
-            _emit(
+            click.echo(
                 f'{r.check_id},"{params}",{r.observed!r},{r.predicted!r},'
                 f"{r.residual!r},{r.scaled_residual!r},{r.verdict}"
             )
@@ -428,7 +420,7 @@ def verify(suite: str, fmt: str) -> None:
             f"{len(records)} checks: {len(records) - len(failed)} passed, "
             f"{len(failed)} not passed"
         )
-        _emit("\n".join(lines))
+        click.echo("\n".join(lines))
     if failed:
         raise SystemExit(1)
 

@@ -3,7 +3,8 @@
 Coefficients are arbitrary-precision Python integers, stored constant term
 first.  Everything downstream (signatures, discriminants, search filters)
 leans on the exactness of this module: there is no floating fallback in the
-Sturm or resultant paths.
+Sturm or resultant paths, which read one remainder sequence: the Sturm
+chain is the sequence of (p, p'), and discriminants come from its steps.
 """
 from __future__ import annotations
 
@@ -315,31 +316,40 @@ def _pseudo_rem(a: Sequence[int], b: Sequence[int]) -> list:
     return r
 
 
+def _remainder_sequence(a: list, b: list) -> Tuple[list, list]:
+    """Primitive pseudo-remainder sequence of dense int lists a, b (constant
+    first, deg a >= deg b >= 0), stopped at a constant or a zero remainder.
+
+    Returns (chain, contents): the chain starts a, b, and member i + 2 is
+    prem(chain[i], chain[i + 1]) / contents[i], where the signed content
+    makes each member a positive multiple of -rem(chain[i], chain[i + 1]),
+    as Sturm's recursion demands.
+    """
+    chain, contents = [a, b], []
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        r = _pseudo_rem(a, b)
+        if not r:
+            break
+        # the pseudo-remainder is lc(b)^(da-db+1) * rem(a, b): divide by
+        # minus its content unless that multiplier is negative
+        g = _content_list(r)
+        if b[-1] > 0 or (len(a) - len(b)) % 2:
+            g = -g
+        chain.append([c // g for c in r])
+        contents.append(g)
+    return chain, contents
+
+
 def _sturm_chain(p: IntPolynomial) -> list:
-    """Primitive-PRS Sturm chain of p (degree >= 1), stopped at a zero remainder.
+    """Sturm chain of p (degree >= 1): the remainder sequence of (p, p').
 
     Each member is a positive multiple of the textbook chain member, so sign
     variation counts are unchanged.  The last member is a constant exactly
     when p is squarefree; otherwise it is a multiple of gcd(p, p'), which
     sturm_real_count rejects and is_irreducible reports as a factor.
     """
-    chain = [list(p.coefficients), list(p.derivative().coefficients)]
-    while len(chain[-1]) > 1:
-        a, b = chain[-2], chain[-1]
-        da, db = len(a) - 1, len(b) - 1
-        r = _pseudo_rem(a, b)
-        if not r:
-            break
-        # pseudo-remainder equals lc(b)^(da-db+1) * rem(a, b); flip the sign
-        # when that multiplier is negative so the chain stays a positive
-        # multiple of (-rem) as Sturm's recursion demands
-        mult_negative = b[-1] < 0 and (da - db + 1) % 2 == 1
-        g = _content_list(r)
-        r = [c // g for c in r]
-        if not mult_negative:
-            r = [-c for c in r]
-        chain.append(r)
-    return chain
+    return _remainder_sequence(list(p.coefficients), list(p.derivative().coefficients))[0]
 
 
 def _variations(signs: Iterable[int]) -> int:
@@ -400,43 +410,37 @@ def sturm_real_count(
 # -- resultant and discriminant ----------------------------------------------
 
 def resultant(p: IntPolynomial, q: IntPolynomial) -> int:
-    """Exact resultant via the subresultant pseudo-remainder sequence."""
+    """Exact resultant, read off the remainder sequence of (p, q).
+
+    With d the degrees, each step A, B -> C, prem(A, B) = g C, gives res(A, B)
+    = (-1)^(dA dB) lc(B)^(dA - dC - (dA - dB + 1) dB) g^dB res(B, C).  The
+    sequence ends at a constant c, where res(A, c) = c^dA, or at a zero
+    remainder, where A and B share a factor and the resultant is 0.
+    """
     if p.is_zero or q.is_zero:
         return 0
-    if p.degree == 0:
-        return p.leading_coefficient ** q.degree
-    if q.degree == 0:
-        return q.leading_coefficient ** p.degree
-    a = p.primitive_part()
-    b = q.primitive_part()
-    cont_factor = p.content() ** q.degree * q.content() ** p.degree
-    sign = 1
-    if a.degree < b.degree:
-        if a.degree % 2 == 1 and b.degree % 2 == 1:
-            sign = -sign
+    a, b = list(p.coefficients), list(q.coefficients)
+    num, den = 1, 1
+    if len(a) < len(b):
         a, b = b, a
-    A = list(a.coefficients)
-    B = list(b.coefficients)
-    g = 1
-    h = 1
-    while True:
-        da, db = len(A) - 1, len(B) - 1
-        delta = da - db
-        if da % 2 == 1 and db % 2 == 1:
-            sign = -sign
-        R = _pseudo_rem(A, B)
-        if not R:
-            return 0
-        # subresultant bookkeeping: each round divides exactly by g*h^delta
-        A, B = B, [c // (g * h ** delta) for c in R]
-        g = A[-1]
-        if delta >= 1:
-            h = g ** delta // h ** (delta - 1)
-        if len(B) - 1 == 0:
-            dA = len(A) - 1
-            lb = B[-1]
-            res_pp = lb ** dA // h ** (dA - 1)
-            return sign * cont_factor * res_pp
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            num = -1
+    chain, contents = _remainder_sequence(a, b)
+    if len(chain[-1]) > 1:
+        return 0
+    for a, b, c, g in zip(chain, chain[1:], chain[2:], contents):
+        da, db = len(a) - 1, len(b) - 1
+        if da * db % 2:
+            num = -num
+        # the exponent of lc(b) can be negative: keep it apart until the end
+        e = da - (len(c) - 1) - (da - db + 1) * db
+        if e >= 0:
+            num *= b[-1] ** e
+        else:
+            den *= b[-1] ** -e
+        num *= g ** db
+    num *= chain[-1][0] ** (len(chain[-2]) - 1)
+    return num // den
 
 
 def discriminant(p: IntPolynomial) -> int:

@@ -124,7 +124,6 @@ def _walk(
     a1_values: Optional[Iterable[int]],
     rhos: Sequence[float],
     totally_real: bool,
-    unit_constant: bool,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Canonical candidates (a_1..a_n), one per mirror orbit, of the
     Newton-window walk of the ball sum |alpha_i|^2 <= rhos[0].
@@ -135,10 +134,10 @@ def _walk(
     so a smaller ball's walk is the larger one's, filtered by its own
     windows, in the same order.
 
-    The search passes rho = 2(s+t) and a_n = +-1 (unit_constant);
-    check_smyth (rho = 3n/2) and subelement_scan (rho = bound/w_min) pass
-    totally_real, which holds the even p_k in [0, rho^(k/2)), and take any
-    nonzero a_n of its window.  a1_values=None walks every a_1 >= 0.
+    The search walks rho = 2(s+t) with a_n = +-1.  check_smyth (rho =
+    3n/2) and subelement_scan (rho = bound/w_min) pass totally_real, which
+    holds the even p_k in [0, rho^(k/2)) and takes any nonzero a_n of its
+    window.  a1_values=None walks every a_1 >= 0.
 
     The walk runs one depth at a time on int64 columns of a_1..a_k and
     p_1..p_k, and compares them with float windows, so every integer it
@@ -170,7 +169,7 @@ def _walk(
     admitted = np.array([a[0] <= bound for bound in a1_bounds])
     for k in range(2, n + 1):
         center = -sum(a[i - 1] * p[k - i - 1] for i in range(1, k))
-        unit_leaf = k == n and unit_constant
+        unit_leaf = k == n and not totally_real
         if unit_leaf:
             lo, hi = np.full_like(center, -1), np.ones_like(center)
         else:
@@ -348,7 +347,7 @@ def _scan_slice(
     parts = [(Counter(generated=0, passed_prescreen=0), []) for _ in signatures]
     for a1 in a1_values:
         if prune:
-            leaves, admitted = _walk(n, [a1], [2 * st for st in sts], False, True)
+            leaves, admitted = _walk(n, [a1], [2 * st for st in sts], False)
         else:
             leaves = _box(n, sts[0], [a1])
             admitted = np.ones((1, len(leaves)), dtype=bool)
@@ -463,7 +462,7 @@ def subelement_scan(
         raise ValueError("unsupported subelement pattern")
     w_desc = sorted(weights, reverse=True)
     violators: List[IntPolynomial] = []
-    leaves, _ = _walk(degree, None, [bound_sq / w_desc[-1]], True, False)
+    leaves, _ = _walk(degree, None, [bound_sq / w_desc[-1]], True)
     for coeffs in map(tuple, leaves.tolist()):
         poly = _to_polynomial(coeffs, degree)
         if not is_irreducible_of_signature(poly, degree):

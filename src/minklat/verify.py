@@ -520,7 +520,7 @@ def check_smyth(max_degree: int = 5) -> CheckRecord:
     equality: List[str] = []
     scanned = 0
     for n in range(2, max_degree + 1):
-        leaves, _ = _walk(n, None, [1.5 * n], True, False)
+        leaves, _ = _walk(n, None, [1.5 * n], True)
         for coeffs in map(tuple, leaves.tolist()):
             # the mirror's roots are the negatives: same verdict, same p2
             members = _orbit(coeffs)

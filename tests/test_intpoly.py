@@ -368,8 +368,62 @@ def test_resultant_swap_sign(p, q):
     assert resultant(p, q) == s * resultant(q, p)
 
 
+def _sylvester_determinant(p, q):
+    """res(p, q) as the determinant of the Sylvester matrix, by exact
+    Fraction elimination: an oracle independent of the remainder sequence."""
+    m, n = p.degree, q.degree
+    size = m + n
+    rows = [[0] * i + list(p.coefficients[::-1]) + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + list(q.coefficients[::-1]) + [0] * (m - 1 - i) for i in range(m)]
+    rows = [[Fraction(c) for c in row] for row in rows]
+    det = Fraction(1)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, size):
+            f = rows[r][col] / rows[col][col]
+            if f:
+                for c in range(col, size):
+                    rows[r][c] -= f * rows[col][c]
+    assert det.denominator == 1
+    return int(det)
+
+
+# degrees 0 to 6; leading coefficients negative or not +-1, and content > 1
+sylvester_poly = st.builds(
+    lambda lower, lead, content: IntPolynomial(content * c for c in lower + [lead]),
+    st.lists(small_coeff, max_size=6),
+    st.sampled_from([-4, -3, -2, -1, 1, 2, 3]),
+    st.sampled_from([1, 1, 2, 3, 6]),
+)
+
+
+@settings(max_examples=300)
+@given(sylvester_poly, sylvester_poly)
+def test_resultant_equals_sylvester_determinant(p, q):
+    assert resultant(p, q) == _sylvester_determinant(p, q)
+    assert resultant(q, p) == _sylvester_determinant(q, p)
+
+
+@pytest.mark.parametrize(
+    "n, a, b", [(5, -1, -1), (151, -1, -1), (401, 1, -1), (7, 0, 3), (150, 0, -2)]
+)
+def test_discriminant_of_trinomial_closed_form(n, a, b):
+    # the remainder sequence of x^n + a x + b drops from degree n - 1 to 1
+    # (or 0) in one step
+    p = IntPolynomial([b, a] + [0] * (n - 2) + [1])
+    sign = -1 if n * (n - 1) // 2 % 2 else 1
+    expected = sign * (n**n * b ** (n - 1) + (-1) ** (n - 1) * (n - 1) ** (n - 1) * a**n)
+    assert discriminant(p) == expected
+
+
 def test_discriminant_large_family_members():
-    # the subresultant chain collapses for these; this must stay fast
+    # the remainder sequence is short for these; this must stay fast
     d = discriminant(multinacci(60))
     assert d != 0
     assert discriminant(truncated_geom(60)) != 0

@@ -398,7 +398,9 @@ def _window_box(n, rho, totally_real, unit_constant):
 
 
 def _leaves(n, a1_values, rho, totally_real, unit_constant):
-    leaves, admitted = _walk(n, a1_values, [rho], totally_real, unit_constant)
+    # the walker's two configurations: the search's and the totally real one
+    assert unit_constant != totally_real
+    leaves, admitted = _walk(n, a1_values, [rho], totally_real)
     assert admitted.all()
     return [tuple(c) for c in leaves.tolist()]
 
@@ -490,7 +492,7 @@ def _assert_nested(n):
     rhos = [2 * (s + t) for s, t in admissible_signatures(n)]
     a1_cap = int(math.sqrt(n * rhos[0]) * WINDOW_SLACK)
     for a1 in range(a1_cap + 1):
-        leaves, admitted = _walk(n, [a1], rhos, False, True)
+        leaves, admitted = _walk(n, [a1], rhos, False)
         assert admitted[0].all()
         for rho, mask in zip(rhos[1:], admitted[1:]):
             assert [tuple(c) for c in leaves[mask].tolist()] == _leaves(
@@ -525,7 +527,7 @@ def test_walk_refuses_a_newton_sum_beyond_exact_float_range():
     # rho^(3/2) = 5.2e15 < 2^53, but the Newton sum a_1 p_2 + a_2 p_1 + 3 a_3
     # of the ball can reach about 4 rho^(3/2) = 2.1e16, past 2^53
     with pytest.raises(ValueError, match="too large"):
-        _walk(3, None, [3e10], True, False)
+        _walk(3, None, [3e10], True)
 
 
 def _walk_with_mirrors(n, rho, totally_real, unit_constant):
