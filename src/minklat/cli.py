@@ -221,10 +221,7 @@ def search(
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         raise click.ClickException(str(exc))
     if fmt == "json":
-        payload = report.to_json_dict()
-        # timing is diagnostics, not report content; keep reports byte-stable
-        payload.pop("wall_time", None)
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+        click.echo(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
         return
     rows = report.csv_rows()
     if fmt == "csv":

@@ -5,6 +5,8 @@ first.  Everything downstream (signatures, discriminants, search filters)
 leans on the exactness of this module: there is no floating fallback in the
 Sturm or resultant paths, which read one remainder sequence: the Sturm
 chain is the sequence of (p, p'), and discriminants come from its steps.
+Exact division and the Sturm signs at rational endpoints run on integers;
+Fraction appears only where a rational endpoint enters.
 """
 from __future__ import annotations
 
@@ -43,14 +45,12 @@ def _horner_with_derivative(coeffs: Sequence, x):
     return p, dp
 
 
-def _poly_mul(a: Sequence, b: Sequence, zero=0) -> list:
+def _poly_mul(a: Sequence, b: Sequence) -> list:
     """Product of coefficient lists given constant term first.
 
-    As generic as _horner; zero terms on either side are skipped. Every
-    term starts at ``zero``, so Fraction input with ``zero=Fraction(0)``
-    gives a list of Fractions only.
+    As generic as _horner; zero terms on either side are skipped.
     """
-    out = [zero] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
@@ -267,33 +267,24 @@ def parse_polynomial(text: str) -> IntPolynomial:
 
 # -- exact division ---------------------------------------------------------
 
-def divmod_exact(num: IntPolynomial, den: IntPolynomial):
-    """Quotient and remainder over Q, as Fraction coefficient lists."""
+def try_divide(num: IntPolynomial, den: IntPolynomial) -> Optional[IntPolynomial]:
+    """num / den when the division is exact with integer quotient, else None.
+
+    Integer long division: a leading coefficient that lc(den) does not divide
+    stays in the remainder untouched, so a zero remainder decides both.
+    """
     if den.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    r = [Fraction(c) for c in num.coefficients]
-    d = den.degree
-    lead = Fraction(den.leading_coefficient)
-    q = [Fraction(0)] * max(len(r) - d, 0)
+    r = list(num.coefficients)
+    d, lead = den.degree, den.leading_coefficient
+    q = [0] * max(len(r) - d, 0)
     for k in range(len(r) - 1, d - 1, -1):
-        c = r[k] / lead
+        c = r[k] // lead
         if c:
             q[k - d] = c
             for i, dc in enumerate(den.coefficients):
                 r[k - d + i] -= c * dc
-    while r and r[-1] == 0:
-        r.pop()
-    return q, r
-
-
-def try_divide(num: IntPolynomial, den: IntPolynomial) -> Optional[IntPolynomial]:
-    """num / den when the division is exact with integer quotient, else None."""
-    q, r = divmod_exact(num, den)
-    if r:
-        return None
-    if any(c.denominator != 1 for c in q):
-        return None
-    return IntPolynomial(int(c) for c in q)
+    return None if any(r) else IntPolynomial(q)
 
 
 # -- pseudo-remainder sequences ----------------------------------------------
@@ -365,7 +356,10 @@ def _variations(signs: Iterable[int]) -> int:
 
 
 def _sign_at(coeffs: Sequence[int], x: Optional[Fraction], side: int) -> int:
-    """Sign of the polynomial at x, or at -inf/+inf when x is None (side=-1/+1)."""
+    """Sign of the polynomial at x, or at -inf/+inf when x is None (side=-1/+1).
+
+    At x = num/den, den > 0, it is the sign of the integer den^deg p(num/den).
+    """
     deg = len(coeffs) - 1
     lc = coeffs[-1]
     if x is None:
@@ -373,7 +367,8 @@ def _sign_at(coeffs: Sequence[int], x: Optional[Fraction], side: int) -> int:
         if side < 0 and deg % 2 == 1:
             s = -s
         return s
-    acc = _horner(coeffs, x)
+    den = x.denominator
+    acc = _horner([c * den ** (deg - i) for i, c in enumerate(coeffs)], x.numerator)
     return (acc > 0) - (acc < 0)
 
 
@@ -384,7 +379,7 @@ def sturm_real_count(
     """Exact number of distinct real roots of a squarefree polynomial.
 
     ``interval=(a, b)`` counts roots in the half-open interval (a, b]; either
-    endpoint may be None for an unbounded side.  Exact rational arithmetic
+    endpoint may be None for an unbounded side.  Exact integer arithmetic
     throughout; non-squarefree input raises ValueError.
     """
     if p.degree < 1:

@@ -97,26 +97,26 @@ def _embedding_matrix(roots: ConjugateSet, rows: Sequence[Sequence[Fraction]]) -
     return np.array(out)
 
 
-def _exact_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Fraction-exact determinant by Gaussian elimination."""
+def _exact_det(rows: Sequence[Sequence[Union[int, Fraction]]]) -> Fraction:
+    """Exact determinant of int or Fraction rows: fraction-free (Bareiss)
+    elimination on the rows times the lcm d of their denominators, over d^n."""
     n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    a = [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+    sign, prev = 1, 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
         if pivot is None:
             return Fraction(0)
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = a[col][col]
+            sign = -sign
+        p = a[col][col]
         for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] / inv
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    return det
+            for c in range(col + 1, n):
+                a[r][c] = (a[r][c] * p - a[r][col] * a[col][c]) // prev
+        prev = p
+    return Fraction(sign * prev, d ** n)
 
 
 def build_embedding(

@@ -290,7 +290,7 @@ class SearchReport:
     groups: Tuple[SearchGroup, ...]
     inconclusive: Tuple[Tuple[IntPolynomial, float], ...]
     stats: Dict[str, int]
-    wall_time: float
+    wall_time: float  # diagnostics: left out of to_json_dict to keep reports byte-stable
     pruned: bool
 
     def total_count(self) -> int:
@@ -304,7 +304,6 @@ class SearchReport:
                 {"polynomial": p.to_text(), "m": m} for p, m in self.inconclusive
             ],
             "stats": dict(self.stats),
-            "wall_time": self.wall_time,
             "pruned": self.pruned,
         }
 

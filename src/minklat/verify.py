@@ -114,6 +114,14 @@ def _verdict(ok: bool) -> str:
     return "pass" if ok else "fail"
 
 
+def _irreducibility(p: IntPolynomial) -> Tuple[str, bool]:
+    """("certified", verdict) through CERTIFIED_IRREDUCIBILITY_DEGREE, else
+    ("assumed", True)."""
+    if p.degree <= CERTIFIED_IRREDUCIBILITY_DEGREE:
+        return "certified", is_irreducible(p)
+    return "assumed", True
+
+
 def check_sum_asymptotic(n: int, q: float = 2.0) -> CheckRecord:
     """Sum of q-th power moduli over the complex upper-half conjugates of the
     truncated-geometric root: t + (q/2) log 2 + O(n^(-1/4)).
@@ -202,12 +210,7 @@ def check_kiy(k: int) -> CheckRecord:
     scaled = residual * n ** 0.25
     m_pred = 1.0 - 2.0 * (1.0 - LOG2) / (n + 2)
     m_scaled = abs(prof.m - m_pred) * n ** 1.25
-    if n <= CERTIFIED_IRREDUCIBILITY_DEGREE:
-        irreducibility = "certified"
-        irr_ok = is_irreducible(p)
-    else:
-        irreducibility = "assumed"
-        irr_ok = True
+    irreducibility, irr_ok = _irreducibility(p)
     ok = (
         sig_ok
         and irr_ok
@@ -340,13 +343,9 @@ def check_cubic2(n: int) -> CheckRecord:
     st = expect_sig[0] + expect_sig[1]
     closed_m = closed_norm / st
     agree = abs(prof.abs_square_size - closed_norm)
-    if p.degree <= CERTIFIED_IRREDUCIBILITY_DEGREE:
-        irreducibility = "certified"
-        irr_ok = is_irreducible(p)
-        detail = ""
-    else:
-        irreducibility = "assumed"
-        irr_ok = True
+    irreducibility, irr_ok = _irreducibility(p)
+    detail = ""
+    if irreducibility == "assumed":
         detail = "irreducibility assumed for degree > 12 (Ljunggren family)"
     ok = (
         roots.signature == expect_sig

@@ -21,7 +21,6 @@ from minklat.intpoly import (
     _factor_degree_sizes,
     _sturm_chain,
     discriminant,
-    divmod_exact,
     even_spread,
     is_irreducible,
     is_irreducible_of_signature,
@@ -175,20 +174,37 @@ def test_ring_operations_agree_with_evaluation(p, q, x):
     assert (p - q).evaluate(x) == p.evaluate(x) - q.evaluate(x)
 
 
-@given(nonzero_poly(), nonzero_poly())
-def test_division_reconstructs(p, q):
-    quo, rem = divmod_exact(p, q)
-    x = Fraction(3, 7)
-    lhs = p.evaluate(x)
-    rhs = sum(c * x ** i for i, c in enumerate(quo)) * q.evaluate(x)
-    rhs += sum(c * x ** i for i, c in enumerate(rem))
-    assert lhs == rhs
+# divisors of degree 1 to 4 whose leading coefficient is not +-1, a third of
+# them with content above 1
+divisor_poly = st.builds(
+    lambda lower, lead, content: IntPolynomial(content * c for c in lower + [lead]),
+    st.lists(small_coeff, min_size=1, max_size=4),
+    st.sampled_from([-6, -4, -3, -2, 2, 3, 5]),
+    st.sampled_from([1, 1, 2, 3, 6, 6]),
+)
+
+
+@given(nonzero_poly(), divisor_poly, st.sampled_from([2, 3]), st.data())
+def test_try_divide_exact_quotients_only(a, b, k, data):
+    assert try_divide(a * b, b) == a
+    # a b / (k b) = a / k is exact over Q, integral only when k divides a
+    kb = IntPolynomial(k * c for c in b.coefficients)
+    expected = None if a.content() % k else IntPolynomial(c // k for c in a.coefficients)
+    assert try_divide(a * b, kb) == expected
+    lower = data.draw(st.lists(small_coeff, min_size=1, max_size=b.degree))
+    r = IntPolynomial(lower)
+    assume(not r.is_zero)
+    assert try_divide(a * b + r, b) is None
 
 
 def test_try_divide():
     assert try_divide(multinacci_cofactor(9), P("x-1")) == multinacci(9)
     assert try_divide(P("x^2+1"), P("x-1")) is None
-    assert try_divide(P("2x^2+2"), P("2x+2")) is None  # quotient not integral
+    assert try_divide(P("2x^2+2"), P("2x+2")) is None  # remainder 4
+    assert try_divide(P("x^2+x"), P("2x+2")) is None  # exact over Q: quotient x/2
+    assert try_divide(IntPolynomial(()), P("3x-1")) == IntPolynomial(())
+    with pytest.raises(ZeroDivisionError):
+        try_divide(P("x+1"), IntPolynomial(()))
 
 
 def test_content_and_primitive():
@@ -322,6 +338,41 @@ def test_sturm_counts_distinct_integer_roots(roots):
     mid = Fraction(1, 3)
     total = sturm_real_count(p, (None, mid)) + sturm_real_count(p, (mid, None))
     assert total == len(roots)
+
+
+@st.composite
+def roots_and_endpoints(draw):
+    """Distinct integer roots and two Fraction endpoints a < b: roots
+    themselves, or ratios with denominators up to 10^15."""
+    roots = draw(st.lists(st.integers(-12, 12), min_size=1, max_size=7, unique=True))
+
+    def endpoint():
+        if draw(st.booleans()):
+            return Fraction(draw(st.sampled_from(roots)))
+        den = draw(st.one_of(st.integers(2, 9), st.integers(2, 10 ** 15)))
+        return Fraction(draw(st.integers(-13 * den, 13 * den)), den)
+
+    a, b = endpoint(), endpoint()
+    assume(a != b)
+    return roots, min(a, b), max(a, b)
+
+
+@settings(max_examples=300)
+@given(roots_and_endpoints(), st.integers(0, 2))
+def test_sturm_count_at_rational_endpoints(case, extra):
+    # p = prod (x - k), times x^2 + 1 when extra >= 1 and x^2 + 4 when
+    # extra = 2: neither factor adds a real root to any count
+    roots, a, b = case
+    p = IntPolynomial((1,))
+    for k in roots:
+        p = p * IntPolynomial((-k, 1))
+    if extra:
+        p = p * P("x^2+1")
+    if extra == 2:
+        p = p * P("x^2+4")
+    assert sturm_real_count(p, (a, b)) == sum(1 for k in roots if a < k <= b)
+    assert sturm_real_count(p, (None, a)) == sum(1 for k in roots if k <= a)
+    assert sturm_real_count(p, (b, None)) == sum(1 for k in roots if k > b)
 
 
 # -- resultant and discriminant ----------------------------------------------------

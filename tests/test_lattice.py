@@ -7,6 +7,7 @@ coordinates and to 1e-9 in the lengths.
 """
 import math
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -414,6 +415,47 @@ def test_rational_basis_fraction_disc():
     assert abs(sv.squared_length - 0.75) < 1e-9
     assert sv.element_poly == (0, Fraction(1, 2))
     assert sv.minimizer_degree == 2
+
+
+def _leibniz_det(rows):
+    """sum over permutations of sign * product, in Fraction: an oracle that
+    shares no step with elimination."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+rational_entry = st.one_of(
+    st.integers(-4, 4).map(Fraction),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from([2, 3, 5, 12, 49])),
+)
+
+
+@st.composite
+def det_matrices(draw):
+    """n x n rational matrices, n <= 5; some with a zero leading column entry
+    (a row swap), some with a repeated-multiple row (singular)."""
+    n = draw(st.integers(1, 5))
+    rows = [draw(st.lists(rational_entry, min_size=n, max_size=n)) for _ in range(n)]
+    shape = draw(st.sampled_from(["any", "swap", "singular"]))
+    if shape == "swap":
+        rows[0][0] = Fraction(0)
+    elif shape == "singular" and n > 1:
+        k = draw(st.integers(1, n - 1))
+        rows[k] = [Fraction(-3, 2) * x for x in rows[0]]
+    return rows
+
+
+@settings(max_examples=300)
+@given(det_matrices())
+def test_exact_det_matches_leibniz(rows):
+    assert _exact_det(rows) == _leibniz_det(rows)
 
 
 def test_singular_basis_rejected():

@@ -595,6 +595,7 @@ def test_report_json_and_csv(search_report_3):
     assert d["groups"][0]["signature"] == [1, 1]
     assert d["groups"][0]["count"] == 4
     assert d["pruned"] is True
+    assert "wall_time" not in d  # timing stays out of byte-stable reports
     rows = search_report_3.csv_rows()
     assert rows[0] == ("(1,1)", "x^3-x^2+1", "0.947279124", "0.944940787")
     assert len(rows) == 4
