@@ -359,28 +359,36 @@ def _fincke_pohst(gram: np.ndarray, radius_sq: float) -> List[Tuple[int, ...]]:
     q = np.diag(r) ** 2
     mu = r / np.diag(r)[:, None]
     found: List[Tuple[int, ...]] = []
-    x = [0] * n
-
-    def descend(i: int, remaining: float):
-        if i < 0:
-            if any(x):
-                found.append(tuple(x))
-            return
-        center = -sum(mu[i, j] * x[j] for j in range(i + 1, n))
-        if remaining < 0:
-            return
-        half = math.sqrt(remaining / q[i])
-        lo = math.ceil(center - half - 1e-12)
-        hi = math.floor(center + half + 1e-12)
-        for xi in range(lo, hi + 1):
-            x[i] = xi
-            used = q[i] * (xi - center) ** 2
-            if used <= remaining + 1e-12:
-                descend(i - 1, remaining - used)
-        x[i] = 0
-
-    descend(n - 1, radius_sq)
+    _descend(mu, q, [0] * n, found, n - 1, radius_sq)
     return found
+
+
+def _descend(
+    mu: np.ndarray,
+    q: np.ndarray,
+    x: List[int],
+    found: List[Tuple[int, ...]],
+    i: int,
+    remaining: float,
+) -> None:
+    # Fincke-Pohst below level i; a module function, not a closure, so a
+    # search leaves no reference cycle behind
+    if i < 0:
+        if any(x):
+            found.append(tuple(x))
+        return
+    center = -sum(mu[i, j] * x[j] for j in range(i + 1, len(x)))
+    if remaining < 0:
+        return
+    half = math.sqrt(remaining / q[i])
+    lo = math.ceil(center - half - 1e-12)
+    hi = math.floor(center + half + 1e-12)
+    for xi in range(lo, hi + 1):
+        x[i] = xi
+        used = q[i] * (xi - center) ** 2
+        if used <= remaining + 1e-12:
+            _descend(mu, q, x, found, i - 1, remaining - used)
+    x[i] = 0
 
 
 def shortest_vector(lat: EmbeddedLattice) -> ShortestVectorResult:

@@ -5,6 +5,7 @@ search over each order's Gram matrix before this module existed; they are
 frozen here and the enumerator must reproduce them bit-for-bit in the
 coordinates and to 1e-9 in the lengths.
 """
+import gc
 import math
 from fractions import Fraction
 from itertools import permutations
@@ -566,3 +567,17 @@ def test_minimal_polynomial_of_constant(c, text):
     degree, f = _minimal_polynomial([Fraction(c)] + [Fraction(0)] * 4, p)
     assert degree == 1
     assert f.to_text() == text
+
+
+def test_shortest_vector_leaves_no_reference_cycles():
+    # every object of the search is freed by reference counting; a cycle
+    # would wait for the cyclic collector
+    lattices = [lattice_of("x^6+x^2-1"), build_embedding(find_roots(multinacci(15)))]
+    gc.collect()
+    gc.disable()
+    try:
+        for lat in lattices:
+            shortest_vector(lat)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
