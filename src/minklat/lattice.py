@@ -4,11 +4,19 @@ Rows of the basis matrix are psi(b_i) with coordinates: the s real conjugates,
 then (Re, Im) per complex pair with no sqrt(2) weighting, which is what makes
 |det| = 2^(-t) * sqrt(|disc|) and the squared length of psi(1) equal to s+t.
 
-LLL is floating-point: a Gram-Schmidt row is two matrix-vector products, and
-size reduction updates mu in place. The enumerator is floating Fincke-Pohst
-over the LLL-reduced Gram with a small radius slack; every candidate's form
-value is recomputed from its integer coordinates before acceptance so boundary
-vectors are never lost to drift in the recursion's partial sums.
+The embedding computes each conjugate's powers once and sums each row over
+its nonzero coefficients only, so Z[alpha]'s identity rows cost O(n^2) in all.
+
+LLL is floating-point: a Gram-Schmidt row is two matrix-vector products, the
+rows are a Python list of arrays, and size reduction and the Lovasz test run
+on Python floats. The enumerator is floating Fincke-Pohst over the
+LLL-reduced Gram, built and Cholesky-factored once, with a small radius
+slack; its recursion reads Python floats. Every candidate's form value is
+recomputed from its integer coordinates before acceptance so boundary vectors
+are never lost to drift in the recursion's partial sums. The vectors here
+have 2 to 40 entries, where numpy's per-call cost outweighs the arithmetic;
+each Python-float step is the same IEEE operation, in the same order, as the
+numpy form it replaces, so every float is unchanged.
 """
 from __future__ import annotations
 
@@ -82,16 +90,20 @@ class ShortestVectorResult:
 
 def _embedding_matrix(roots: ConjugateSet, rows: Sequence[Sequence[Fraction]]) -> np.ndarray:
     """psi of each element given by power-basis coefficients, one row each;
-    the powers of each conjugate are computed once for all rows."""
+    the powers of each conjugate are computed once for all rows, and each
+    row sums over its nonzero coefficients only, so the identity rows of
+    Z[alpha] cost O(n) each. A zero term could change only the sign of an
+    exact zero, and a sum from int 0 never holds -0.0, so every float is the
+    one the full per-element sum gives."""
     n = roots.degree
     real_powers = [[r ** k for k in range(n)] for r in roots.real_roots]
     complex_powers = [[z ** k for k in range(n)] for z in roots.complex_reps]
     out = []
     for coeffs in rows:
-        floats = [float(c) for c in coeffs]
-        row = [float(sum(c * rk for c, rk in zip(floats, pw))) for pw in real_powers]
+        terms = [(k, float(c)) for k, c in enumerate(coeffs) if c]
+        row = [float(sum(c * pw[k] for k, c in terms)) for pw in real_powers]
         for pw in complex_powers:
-            val = sum(complex(c) * zk for c, zk in zip(floats, pw))
+            val = sum(complex(c) * pw[k] for k, c in terms)
             row += (val.real, val.imag)
         out.append(row)
     return np.array(out)
@@ -168,7 +180,7 @@ def build_embedding(
 # -- LLL -------------------------------------------------------------------------
 
 def _gram_schmidt_row(
-    b: np.ndarray, bstar: np.ndarray, mu: np.ndarray, norms: np.ndarray, i: int
+    b: List[np.ndarray], bstar: np.ndarray, mu: np.ndarray, norms: np.ndarray, i: int
 ) -> None:
     """Classical Gram-Schmidt of row i: fills mu[i, :i], bstar[i] and
     norms[i] from b[i] and bstar/norms of rows 0..i-1, by two matrix-vector
@@ -176,16 +188,18 @@ def _gram_schmidt_row(
     mu[i, :i] = bstar[:i] @ b[i] / norms[:i]
     bstar[i] = b[i] - mu[i, :i] @ bstar[:i]
     norms[i] = bstar[i] @ bstar[i]
-    if norms[i] <= 0.0:
+    if norms.item(i) <= 0.0:
         raise ArithmeticError("lattice basis lost positive definiteness")
 
 
 def _lll(basis: np.ndarray):
     """LLL reduction; returns (reduced basis, integer unimodular transform)."""
-    b = basis.astype(float).copy()
-    n = b.shape[0]
+    # the rows are a list of arrays, so a swap exchanges two references
+    # instead of copying rows through fancy indexing
+    b = list(basis.astype(float))
+    n = len(b)
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    bstar = np.zeros_like(b)
+    bstar = np.zeros((n, n))
     mu = np.zeros((n, n))
     norms = np.zeros(n)
     for i in range(n):
@@ -199,8 +213,11 @@ def _lll(basis: np.ndarray):
         while current <= k:
             _gram_schmidt_row(b, bstar, mu, norms, current)
             current += 1
-        # size reduction updates mu[k] in place (b*_k is unchanged), then row k
-        # is recomputed once; round() reads Python floats far faster
+        # size reduction updates mu_k, row k's mu (b*_k is unchanged), then
+        # row k is recomputed once; mu_k is a Python list because round()
+        # reads Python floats far faster, and x - q*y on floats is the same
+        # IEEE step as on numpy. Only mu_k[:j] is read after step j, so
+        # mu_k[j] and mu[k] itself are left stale until that recompute
         reduced = False
         mu_k = mu[k].tolist()
         for j in range(k - 1, -1, -1):
@@ -208,21 +225,21 @@ def _lll(basis: np.ndarray):
             if q:
                 b[k] -= q * b[j]
                 u[k] = [uk - q * uj for uk, uj in zip(u[k], u[j])]
-                mu[k, :j] -= q * mu[j, :j]
-                mu[k, j] -= q
-                mu_k = mu[k].tolist()
+                mu_k[:j] = [x - q * y for x, y in zip(mu_k, mu[j, :j].tolist())]
                 reduced = True
         if reduced:
             _gram_schmidt_row(b, bstar, mu, norms, k)
             current = k + 1
-        if norms[k] >= (LLL_DELTA - mu[k, k - 1] ** 2) * norms[k - 1]:
+        # the Lovasz test on Python floats, the same IEEE steps as on numpy
+        # scalars
+        if norms.item(k) >= (LLL_DELTA - mu.item(k, k - 1) ** 2) * norms.item(k - 1):
             k += 1
         else:
-            b[[k - 1, k]] = b[[k, k - 1]]
+            b[k - 1], b[k] = b[k], b[k - 1]
             u[k - 1], u[k] = u[k], u[k - 1]
             current = k - 1
             k = max(k - 1, 1)
-    return b, tuple(tuple(row) for row in u)
+    return np.array(b), tuple(tuple(row) for row in u)
 
 
 def _combine_rows(
@@ -243,14 +260,10 @@ def lll_reduce(
 ) -> Tuple[np.ndarray, Tuple[Tuple[int, ...], ...]]:
     """delta=0.99 LLL reduction of the lattice's basis rows; returns the
     reduced rows and the integer unimodular transform U with
-    U @ lat.basis_matrix equal to them up to rounding.
+    U @ lat.basis_matrix equal to them up to rounding. Every Gram-Schmidt
+    norm of the reduced rows is positive, else ArithmeticError.
     """
-    reduced, u = _lll(lat.basis_matrix)
-    try:
-        np.linalg.cholesky(reduced @ reduced.T)
-    except np.linalg.LinAlgError as exc:
-        raise ArithmeticError("lattice basis lost positive definiteness") from exc
-    return reduced, u
+    return _lll(lat.basis_matrix)
 
 
 # -- minimizer bookkeeping ----------------------------------------------------------
@@ -354,18 +367,22 @@ def _result_from_coords(
 
 def _fincke_pohst(gram: np.ndarray, radius_sq: float) -> List[Tuple[int, ...]]:
     n = gram.shape[0]
-    lower = np.linalg.cholesky(gram)
+    try:
+        lower = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError("lattice basis lost positive definiteness") from exc
     r = lower.T
     q = np.diag(r) ** 2
     mu = r / np.diag(r)[:, None]
     found: List[Tuple[int, ...]] = []
-    _descend(mu, q, [0] * n, found, n - 1, radius_sq)
+    # the recursion reads Python floats, far faster than numpy scalars
+    _descend(mu.tolist(), q.tolist(), [0] * n, found, n - 1, radius_sq)
     return found
 
 
 def _descend(
-    mu: np.ndarray,
-    q: np.ndarray,
+    mu: List[List[float]],
+    q: List[float],
     x: List[int],
     found: List[Tuple[int, ...]],
     i: int,
@@ -377,15 +394,17 @@ def _descend(
         if any(x):
             found.append(tuple(x))
         return
-    center = -sum(mu[i, j] * x[j] for j in range(i + 1, len(x)))
+    mu_i = mu[i]
+    center = -sum(mu_i[j] * x[j] for j in range(i + 1, len(x)))
     if remaining < 0:
         return
-    half = math.sqrt(remaining / q[i])
+    q_i = q[i]
+    half = math.sqrt(remaining / q_i)
     lo = math.ceil(center - half - 1e-12)
     hi = math.floor(center + half + 1e-12)
     for xi in range(lo, hi + 1):
         x[i] = xi
-        used = q[i] * (xi - center) ** 2
+        used = q_i * (xi - center) ** 2
         if used <= remaining + 1e-12:
             _descend(mu, q, x, found, i - 1, remaining - used)
     x[i] = 0
@@ -405,6 +424,7 @@ def shortest_vector(lat: EmbeddedLattice) -> ShortestVectorResult:
     s, t = lat.signature
     radius_sq = (s + t) + RADIUS_SLACK
     reduced, transform = lll_reduce(lat)
+    # the reduced Gram is built once, here, and factored once, in _fincke_pohst
     raw = _fincke_pohst(reduced @ reduced.T, radius_sq)
     if not raw:
         raise RuntimeError("radius search empty")

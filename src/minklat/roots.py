@@ -106,15 +106,20 @@ def _aberth(coeffs: Sequence[int]) -> np.ndarray:
     z = radii * np.exp(1j * angles)
     cf = [float(c) for c in coeffs]
     diff = np.empty((n, n), dtype=complex)  # z_i - z_j, then its reciprocal
+    diagonal = diff.reshape(-1)[:: n + 1]  # a view of diff's diagonal
     for _ in range(MAX_ABERTH_ITERATIONS):
         p, dp = _horner_with_derivative(cf, z)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = p / dp
             np.subtract(z[:, None], z[None, :], out=diff)
-            np.fill_diagonal(diff, np.inf)
+            diagonal[:] = np.inf
             s = np.sum(np.divide(1.0, diff, out=diff), axis=1)
             w = newton / (1.0 - newton * s)
-        w = np.nan_to_num(w, nan=0.0, posinf=0.0, neginf=0.0)
+        if not np.isfinite(w).all():
+            # a non-finite real or imaginary part becomes 0, the other part
+            # stays, as np.nan_to_num does on a complex array
+            for part in (w.real, w.imag):
+                part[~np.isfinite(part)] = 0.0
         z = z - w
         if np.max(np.abs(w) / (1.0 + np.abs(z))) < 1e-14:
             return z

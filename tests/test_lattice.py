@@ -26,11 +26,13 @@ from minklat.lattice import (
     BRUTE_FORCE_DIMENSION_CAP,
     ENUMERATION_DIMENSION_CAP,
     LLL_DELTA,
+    RADIUS_SLACK,
     build_embedding,
     brute_force_shortest,
     lll_reduce,
     shortest_vector,
     _exact_det,
+    _fincke_pohst,
     _lll,
     _minimal_polynomial,
 )
@@ -150,11 +152,17 @@ def _reference_embedding(roots, rows):
     + [
         ("x^3-x-1", [[1, 0, 0], [7, 1, 0], [23, 9, 1]]),
         ("x^2-x-1", [[1, 0], [0, Fraction(1, 2)]]),
+        # a non-unit row with a zero entry: its zero term is skipped
+        ("x^3-x-1", [[1, 0, 0], [0, 1, 0], [5, 0, 1]]),
+        # dense powers of degree 22 meet the identity rows of Z[alpha]
+        pytest.param(multinacci(22).to_text(), None, id="multinacci22"),
+        pytest.param(truncated_geom(22).to_text(), None, id="truncated_geom22"),
     ],
 )
 def test_embedding_bit_identical_to_per_element_sum(text, basis):
-    # the matrix is built with each conjugate's powers computed once; every
-    # entry must still be the same float as embedding one element alone
+    # the matrix is built with each conjugate's powers computed once and each
+    # row summed over its nonzero coefficients only; every entry must still be
+    # the same float as embedding one element alone over all its terms
     roots = find_roots(parse_polynomial(text))
     lat = build_embedding(roots, basis=basis)
     n = roots.degree
@@ -296,12 +304,108 @@ def test_lll_conditions_hold(text, basis):
         assert norms[k] >= lovasz * (1 - 1e-9)
 
 
+def _numpy_lll(basis):
+    """LLL with every step on numpy arrays and scalars: rows swapped by fancy
+    indexing, mu[k] reduced in place, the Lovasz test on numpy scalars."""
+    b = basis.astype(float).copy()
+    n = b.shape[0]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    bstar, mu, norms = np.zeros_like(b), np.zeros((n, n)), np.zeros(n)
+
+    def gram_schmidt(i):
+        mu[i, :i] = bstar[:i] @ b[i] / norms[:i]
+        bstar[i] = b[i] - mu[i, :i] @ bstar[:i]
+        norms[i] = bstar[i] @ bstar[i]
+
+    for i in range(n):
+        gram_schmidt(i)
+    current, k = n, 1
+    while k < n:
+        while current <= k:
+            gram_schmidt(current)
+            current += 1
+        reduced = False
+        for j in range(k - 1, -1, -1):
+            q = round(float(mu[k, j]))
+            if q:
+                b[k] -= q * b[j]
+                u[k] = [uk - q * uj for uk, uj in zip(u[k], u[j])]
+                mu[k, :j] -= q * mu[j, :j]
+                mu[k, j] -= q
+                reduced = True
+        if reduced:
+            gram_schmidt(k)
+            current = k + 1
+        if norms[k] >= (LLL_DELTA - mu[k, k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            b[[k - 1, k]] = b[[k, k - 1]]
+            u[k - 1], u[k] = u[k], u[k - 1]
+            current = k - 1
+            k = max(k - 1, 1)
+    return b, tuple(tuple(row) for row in u)
+
+
+@pytest.mark.parametrize(
+    "text,basis",
+    [pytest.param(text, None, id=name) for name, text in LLL_FAMILY_BASES.items()]
+    + [
+        pytest.param(
+            "x^3-x-1", [[1, 0, 0], [7, 1, 0], [23, 9, 1]], id="skewed_cubic"
+        )
+    ],
+)
+def test_lll_bit_identical_to_numpy_form(text, basis):
+    # _lll keeps its rows in a list and reduces mu[k] and tests Lovasz on
+    # Python floats; each step is the same IEEE operation as on numpy, so the
+    # reduced rows and the transform must be the same bytes
+    lat = build_embedding(find_roots(parse_polynomial(text)), basis=basis)
+    reduced, transform = _lll(lat.basis_matrix)
+    expected, expected_transform = _numpy_lll(lat.basis_matrix)
+    assert reduced.tobytes() == expected.tobytes()
+    assert transform == expected_transform
+
+
 @pytest.mark.parametrize(
     "basis", [[[1, 0], [1, 0]], [[1, 0, 0], [0, 1, 0], [1, 1, 0]]]
 )
 def test_lll_rejects_dependent_rows(basis):
     with pytest.raises(ArithmeticError, match="lost positive definiteness"):
         _lll(np.array(basis, dtype=float))
+
+
+def _box_candidates(basis, radius_sq):
+    """Nonzero integer v with |v B|^2 <= radius_sq, by numpy over the whole
+    box |v_i| <= sqrt(radius_sq (G^-1)_ii): an oracle that shares no step
+    with the Cholesky recursion."""
+    inv = np.linalg.inv(basis @ basis.T)
+    bounds = [int(math.floor(math.sqrt(radius_sq * d) + 1e-9)) for d in np.diag(inv)]
+    grids = np.meshgrid(*[np.arange(-k, k + 1) for k in bounds], indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    emb = pts @ basis
+    vals = np.einsum("ij,ij->i", emb, emb)
+    keep = (vals <= radius_sq) & pts.any(axis=1)
+    return {tuple(int(c) for c in row) for row in pts[keep]}
+
+
+@pytest.mark.parametrize("scale", [1, 2])
+@pytest.mark.parametrize(
+    "text,basis",
+    [
+        ("x^6+x^2-1", None),
+        (multinacci(9).to_text(), None),
+        ("x^4+x^2-1", [[1, 0, 0, 0], [3, 1, 0, 0], [-5, 4, 1, 0], [11, -7, 2, 1]]),
+    ],
+)
+def test_fincke_pohst_matches_box_enumeration(text, basis, scale):
+    # the candidates within scale * (s+t) of the LLL-reduced lattice, each
+    # once, are exactly the box's
+    lat = build_embedding(find_roots(parse_polynomial(text)), basis=basis)
+    reduced, _ = lll_reduce(lat)
+    radius_sq = scale * sum(lat.signature) + RADIUS_SLACK
+    found = _fincke_pohst(reduced @ reduced.T, radius_sq)
+    assert len(found) == len(set(found))
+    assert set(found) == _box_candidates(reduced, radius_sq)
 
 
 def test_multinacci_twelve_minimum_is_one():
