@@ -398,7 +398,7 @@ def enumerate_m_lt_one(
             raise ValueError(f"signature {sf} not admissible at degree {n}")
         signatures = [sf]
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     stats = Counter(
         generated=0, passed_prescreen=0, passed_irreducibility=0, passed_m=0
     )
@@ -436,7 +436,7 @@ def enumerate_m_lt_one(
         groups=tuple(groups),
         inconclusive=tuple(inconclusive),
         stats=dict(stats),
-        wall_time=time.time() - t0,
+        wall_time=time.perf_counter() - t0,
         pruned=prune,
     )
 

@@ -739,14 +739,31 @@ def test_irreducible_that_no_small_prime_keeps_squarefree():
     assert _timed_verdict(IntPolynomial((-2 * _Q, 0, 1))) == (True, None)
 
 
-def test_intpoly_leaves_mpmath_unimported():
+def _run_python(code, *args):
+    """stdout of a fresh interpreter running code with this checkout's src first."""
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(intpoly.__file__)))
-    code = "import sys, minklat.intpoly; print('mpmath' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, check=True,
         env={**os.environ, "PYTHONPATH": src_dir},
-    )
-    assert out.stdout.strip() == "False"
+    ).stdout
+
+
+# mpmath is a test-only oracle: no module of the package may import it
+@pytest.mark.parametrize("module", [
+    "minklat.intpoly", "minklat.constants", "minklat.roots", "minklat.measures",
+    "minklat.lattice", "minklat.search", "minklat.verify", "minklat.cli",
+])
+def test_import_leaves_mpmath_unimported(module):
+    code = f"import sys, {module}; print('mpmath' in sys.modules)"
+    assert _run_python(code).strip() == b"False"
+
+
+def test_verify_report_unchanged_with_mpmath_blocked():
+    # sys.modules[name] = None makes every later import of name fail
+    main = "from minklat.cli import main; main()"
+    args = ("verify", "--suite", "fast", "--format", "csv")
+    blocked = _run_python("import sys; sys.modules['mpmath'] = None; " + main, *args)
+    assert blocked == _run_python(main, *args)
 
 
 def test_totally_real_irreducible_all_monic_cubics():
