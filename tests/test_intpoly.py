@@ -758,6 +758,13 @@ def test_import_leaves_mpmath_unimported(module):
     assert _run_python(code).strip() == b"False"
 
 
+# only a threaded search uses multiprocessing, and imports it there
+@pytest.mark.parametrize("module", ["minklat.search", "minklat.cli"])
+def test_import_leaves_multiprocessing_unimported(module):
+    code = f"import sys, {module}; print('multiprocessing' in sys.modules)"
+    assert _run_python(code).strip() == b"False"
+
+
 def test_verify_report_unchanged_with_mpmath_blocked():
     # sys.modules[name] = None makes every later import of name fail
     main = "from minklat.cli import main; main()"

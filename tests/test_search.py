@@ -29,6 +29,7 @@ from minklat.search import (
     _companion_sums,
     _mirror_coeffs,
     _prescreen,
+    _square_sum_floor,
     _to_polynomial,
     _walk,
     admissible_signatures,
@@ -284,8 +285,75 @@ def test_prescreen_keeps_every_table_member_and_its_mirror():
             s = sturm_real_count(p)
             coeffs = tuple(reversed(p.coefficients[:-1]))  # a_1..a_n
             for c in (coeffs, _mirror_coeffs(coeffs)):
-                sums = _companion_sums(np.array([c], dtype=np.int64))
-                assert _prescreen(sums, s + (n - s) // 2).tolist() == [True], (text, c)
+                st = s + (n - s) // 2
+                sums = _companion_sums(np.array([c], dtype=np.int64), st)
+                assert _prescreen(sums, st).tolist() == [True], (text, c)
+
+
+def _prescreen_leaves(n, a1_values, prune):
+    """The leaves _scan_slice hands the prescreen for these a_1 values
+    (None: all of them), with every signature's s+t and admitted mask."""
+    sts = [s + t for s, t in admissible_signatures(n)]
+    if prune:
+        leaves, admitted = _walk(n, a1_values, [2 * st for st in sts], False)
+        return sts, leaves, admitted
+    if a1_values is None:
+        cap = coefficient_bounds(n, sts[0])[0]
+        a1_values = range(-cap, cap + 1)
+    leaves = search._box(n, sts[0], a1_values)
+    return sts[:1], leaves, np.ones((1, len(leaves)), dtype=bool)
+
+
+# every walk leaf at degrees 3-5, every raw-box leaf at degrees 3-4, and one
+# degree-6 a_1 slice of the walk
+FLOOR_CASES = [
+    (3, None, True),
+    (4, None, True),
+    (5, None, True),
+    (3, None, False),
+    (4, None, False),
+    pytest.param(6, [0], True, marks=pytest.mark.slow),
+]
+
+
+@pytest.mark.parametrize("n, a1_values, prune", FLOOR_CASES)
+def test_square_sum_floor_is_below_the_eigenvalue_sum(n, a1_values, prune):
+    _, leaves, _ = _prescreen_leaves(n, a1_values, prune)
+    _, total = _companion_sums(leaves, math.inf)
+    assert np.all(_square_sum_floor(leaves) <= total * (1 + 1e-12))
+
+
+@pytest.mark.parametrize("n, a1_values, prune", FLOOR_CASES)
+def test_floor_keeps_the_survivors_of_the_all_leaf_eigen_path(n, a1_values, prune):
+    sts, leaves, admitted = _prescreen_leaves(n, a1_values, prune)
+    floored = _companion_sums(leaves, sts[0])
+    solved = _companion_sums(leaves, math.inf)
+    skipped = np.isinf(floored[1])
+    assert skipped.any()
+    # a leaf the floor leaves to the eigen-solve gets the same floats
+    for f, s in zip(floored, solved):
+        assert np.array_equal(f[~skipped], s[~skipped])
+    for st, mask in zip(sts, admitted):
+        kept = leaves[mask & _prescreen(floored, st)].tolist()
+        assert kept == leaves[mask & _prescreen(solved, st)].tolist(), st
+
+
+def test_floor_leaves_a_double_root_leaf_at_the_ball_to_the_eigen_solve():
+    # the mirror of (x^2-x-1)^2: its double roots make the eigenvalues'
+    # real/complex split decide the estimate, and sum |alpha|^2 = 6 = 2(s+t)
+    # equals the floor, so the floor must not decide it
+    leaf = (2, -1, -2, 1)
+    square = parse_polynomial("x^2-x-1") * parse_polynomial("x^2-x-1")
+    assert _to_polynomial(_mirror_coeffs(leaf), 4) == square
+    assert list(leaf) in _walk(4, [2], [6], False)[0].tolist()
+    leaves = np.array([leaf], dtype=np.int64)
+    assert _square_sum_floor(leaves).tolist() == [6.0]
+    floored = _companion_sums(leaves, 3)
+    solved = _companion_sums(leaves, math.inf)
+    assert np.isfinite(floored[1]).all()
+    for f, s in zip(floored, solved):
+        assert np.array_equal(f, s)
+    assert _prescreen(floored, 3).tolist() == _prescreen(solved, 3).tolist()
 
 
 def test_pruned_equals_raw_degree3(search_report_3):
