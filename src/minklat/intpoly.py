@@ -37,11 +37,21 @@ def _horner(coeffs: Sequence, x):
 
 
 def _horner_with_derivative(coeffs: Sequence, x):
-    """(p(x), p'(x)) in one pass, as generic as _horner."""
+    """(p(x), p'(x)) in one pass, as generic as _horner.
+
+    The steps are augmented assignments: the same operations in the same
+    order as dp = dp * x + p and p = p * x + c, but on a numpy array they
+    update the accumulators in place instead of allocating two arrays per
+    coefficient, and on immutable scalars they only rebind. So an integer
+    array x with float or complex coefficients raises on the in-place add;
+    pass a float or complex array.
+    """
     p = dp = 0
     for c in reversed(coeffs):
-        dp = dp * x + p
-        p = p * x + c
+        dp *= x
+        dp += p
+        p *= x
+        p += c
     return p, dp
 
 
@@ -538,6 +548,11 @@ def _monicize(p: IntPolynomial) -> IntPolynomial:
     return IntPolynomial(lower + [1])
 
 
+# usable primes in a row that leave the possible factor sizes unchanged
+# before _factor_degree_sizes stops reading primes
+SETTLED_PRIMES = 3
+
+
 def _primes():
     """2, 3, 5, 7, ... by trial division."""
     return (q for q in count(2) if all(q % d for d in range(2, math.isqrt(q) + 1)))
@@ -629,16 +644,25 @@ def _factor_degree_sizes(work: IntPolynomial):
     degree is a sum of some of the mod-p factor degrees, for every prime p
     where work stays squarefree. ``sizes`` lists the k, 1 <= k <= n/2, that
     every prime read allows; an empty list proves work irreducible. ``prime``
-    is the odd prime with the fewest factors, and ``parts`` its
-    distinct-degree factorization. The primes below 50 are read; past them
-    only until some odd prime has kept work squarefree, which one does, since
-    finitely many primes divide the discriminant.
+    is the odd prime with the fewest factors among those read, and ``parts``
+    its distinct-degree factorization.
+
+    The sizes only shrink, and a size that a factor over Z has never drops
+    out, so reading fewer primes leaves extra sizes but never loses one.
+    _find_factor returns every factor of the least size that has one, so
+    neither the verdict nor the canonical witness depends on which primes
+    were read. The loop therefore stops once SETTLED_PRIMES usable primes in
+    a row have left the sizes unchanged and an odd prime is at hand, or when
+    the sizes are empty, or past 50 once an odd prime is at hand. Some odd
+    prime keeps work squarefree, since finitely many primes divide the
+    discriminant.
     """
     n = work.degree
     sizes = set(range(1, n // 2 + 1))
     best, fewest = (None, None), n + 1
+    unchanged = 0
     for prime in _primes():
-        if not sizes or (prime > 50 and best[0]):
+        if not sizes or (best[0] and (prime > 50 or unchanged >= SETTLED_PRIMES)):
             break
         parts = _distinct_degree_parts(work.coefficients, prime)
         if parts is None:
@@ -647,6 +671,7 @@ def _factor_degree_sizes(work: IntPolynomial):
         sums = {0}
         for d in degrees:
             sums |= {s + d for s in sums}
+        unchanged = unchanged + 1 if sizes <= sums else 0
         sizes &= sums
         if prime > 2 and len(degrees) < fewest:
             best, fewest = (prime, parts), len(degrees)

@@ -24,12 +24,14 @@ A vectorized companion-eigenvalue prescreen then decides only m: it
 discards candidates whose estimated m exceeds 1 + 1e-6, a margin many orders
 above eigenvalue error at these degrees. The eigenvalues are computed once
 per leaf, and each signature applies its own estimate to them. Most leaves
-need none: one Graeffe root-squaring step and Maclaurin's inequality give a
-floor on sum |alpha_i|^2 from the exact coefficients, and the estimate times
-s+t is at least half that sum, so a leaf whose floor exceeds 2(s+t) by 1%
-on the largest ball is discarded unsolved: 70% of the leaves at degree 5,
-89% at degree 6. The raw box passes through the same prescreen, so pruned
-and unpruned runs agreeing at degrees 3 and 4 validates the walk's prunes.
+need none. The estimate times s+t is half of sum |alpha_i|^2 plus the sum of
+alpha^2 over the real roots, and the exact coefficients bound both from
+below: one Graeffe root-squaring step and Maclaurin's inequality give a
+floor on the first, and the signs of f at +-1, +-3/2, ..., +-3 put real
+roots beyond those points.  A leaf whose bound exceeds s+t by 1% on the
+largest ball is discarded unsolved: 85% of the leaves at degree 5, 96% at
+degree 6. The raw box passes through the same prescreen, so pruned and
+unpruned runs agreeing at degrees 3 and 4 validates the walk's prunes.
 Survivors face the exact stage, per signature: the Sturm count decides the
 signature, then certified irreducibility, then the size profile's m.
 
@@ -61,6 +63,7 @@ M_GUARD = 1e-9
 PRESCREEN_M_GUARD = 1e-6
 PRESCREEN_CHUNK = 4096
 FLOOR_MARGIN = 0.01
+REAL_ROOT_POINTS = ((1, 1), (3, 2), (2, 1), (5, 2), (3, 1))  # c = num/den, ascending
 WINDOW_SLACK = 1.0 + 1e-6
 
 
@@ -255,23 +258,61 @@ def _square_sum_floor(leaves: np.ndarray) -> np.ndarray:
     return floor
 
 
+def _real_root_floor(leaves: np.ndarray) -> np.ndarray:
+    """Per leaf a_1..a_n, a lower bound on the sum of alpha^2 over the real
+    roots, from the exact signs of f at +-c for c in REAL_ROOT_POINTS.
+
+    f is monic, so f(c) < 0 puts a real root above c, and (-1)^n f(-c) < 0
+    one below -c.  With c+ and c- the largest such c on each side (0 where
+    there is none), the floor is c+^2 + c-^2.
+
+    For c = num/den, den^n f(c) and (-1)^n den^n f(-c) are the integers
+    sum_k a_k num^(n-k) (+-den)^k (a_0 = 1), one column per point.  With
+    |a_k| <= C(n,k) r^k and r^2 <= n, as for _square_sum_floor, each is at
+    most (num + den sqrt(n))^n < 2^28 at n <= 8, so int64 holds every term
+    and sum exactly.
+    """
+    k, n = leaves.shape
+    points = [(num, sd) for num, den in REAL_ROOT_POINTS for sd in (den, -den)]
+    weights = np.array(
+        [[num ** (n - i) * sd**i for num, sd in points] for i in range(n + 1)],
+        dtype=np.int64,
+    )
+    beyond = weights[0] + leaves @ weights[1:] < 0
+    floor = np.zeros((2, k))  # c+^2 and c-^2
+    for j, (num, sd) in enumerate(points):
+        # the points ascend, so the last sign change on a side is its largest c
+        floor[j % 2, beyond[:, j]] = (num / sd) ** 2
+    return floor[0] + floor[1]
+
+
 def _companion_sums(leaves: np.ndarray, st: float) -> Tuple[np.ndarray, np.ndarray]:
     """Per leaf, from its companion eigenvalues: the sum of |root|^2 over
     the clearly real roots, and over all roots.  One eigen-solve serves
     every signature's m estimate, for every ball s+t <= st.
 
-    A leaf whose square-sum floor exceeds 2 st (1 + FLOOR_MARGIN) is not
-    solved and gets the sums (0, inf): every signature's prescreen would
-    discard it anyway, since its m estimate times s+t is at least half the
-    total, whatever the split into real and complex roots.  The margin
-    covers the floor's float root and the eigenvalue error by orders of
-    magnitude.  st = inf solves every leaf.
+    A leaf is not solved, and gets the sums (0, inf), when exact
+    coefficient bounds already put every signature's m estimate above one.
+    The estimate times s+t is (T + R) / 2, with T the total and R the
+    clearly real part.  T is at least the square-sum floor F, and R at
+    least the real-root floor R_c, so the leaf is skipped when
+    (max(F, R_c) + R_c) / 2 exceeds st (1 + FLOOR_MARGIN); R_c is only read
+    on the leaves F alone leaves open.  The eigen path agrees: a real
+    matrix's computed spectrum is conjugate-symmetric, so the odd number of
+    roots beyond a point c with a sign change leaves an exactly real
+    eigenvalue there, which the estimate counts as clearly real.  The margin
+    covers F's float root and the eigenvalue error by orders of magnitude.
+    st = inf solves every leaf.
     """
     k, n = leaves.shape
     real_part, total = np.zeros(k), np.full(k, np.inf)
+    cut = 2 * st * (1 + FLOOR_MARGIN)
     for lo in range(0, k, PRESCREEN_CHUNK):
-        floor = _square_sum_floor(leaves[lo : lo + PRESCREEN_CHUNK])
-        rows = lo + np.flatnonzero(floor <= 2 * st * (1 + FLOOR_MARGIN))
+        chunk = leaves[lo : lo + PRESCREEN_CHUNK]
+        floor = _square_sum_floor(chunk)
+        rows = np.flatnonzero(floor <= cut)  # the leaves F leaves open
+        real_floor = _real_root_floor(chunk[rows])
+        rows = lo + rows[np.maximum(floor[rows], real_floor) + real_floor <= cut]
         companion = np.zeros((len(rows), n, n))
         if n > 1:
             companion[:, 1:, :-1] = np.eye(n - 1)
@@ -415,6 +456,8 @@ def _scan_slice(
                     mirror_m = _m_value(mirror, n)
                     if mirror_m <= 1.0 + M_GUARD:
                         found.append((mirror, mirror_m))
+        # free this slice's arrays before the next walk builds its own
+        del leaves, admitted, mask, sums
     return parts
 
 

@@ -4,10 +4,12 @@ Sylvester determinant oracle and hand checks; they are frozen as literals.
 """
 import math
 import os
+import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 import mpmath
@@ -160,6 +162,26 @@ def test_horner_helpers_are_generic():
     with mpmath.workdps(30):
         p, dp = _horner_with_derivative(coeffs, mpmath.mpf(3))
         assert (p, dp) == (23, 26)
+
+
+def test_horner_with_derivative_keeps_the_out_of_place_floats():
+    # the in-place steps must give the floats of dp = dp * x + p and
+    # p = p * x + c bit for bit, and leave x alone
+    import numpy as np
+
+    from minklat.intpoly import _horner_with_derivative
+
+    rng = np.random.default_rng(0)
+    coeffs = [float(c) for c in rng.integers(-9, 10, 40)]
+    z = rng.normal(size=64) + 1j * rng.normal(size=64)
+    before = z.tobytes()
+    p = dp = 0
+    for c in reversed(coeffs):
+        dp = dp * z + p
+        p = p * z + c
+    got_p, got_dp = _horner_with_derivative(coeffs, z)
+    assert (got_p.tobytes(), got_dp.tobytes()) == (p.tobytes(), dp.tobytes())
+    assert z.tobytes() == before
 
 
 def test_derivative():
@@ -737,6 +759,88 @@ def test_reducible_that_no_small_prime_keeps_squarefree():
 
 def test_irreducible_that_no_small_prime_keeps_squarefree():
     assert _timed_verdict(IntPolynomial((-2 * _Q, 0, 1))) == (True, None)
+
+
+def _complete_reference(work):
+    """(verdict, canonical witness) of a monic squarefree work from every size
+    1..n/2 at one prime, the odd prime below 50 with the fewest factors."""
+    local = []
+    for prime in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        parts = _distinct_degree_parts(work.coefficients, prime)
+        if parts is not None:
+            local.append((sum((len(g) - 1) // d for d, g in parts), prime, parts))
+    _, prime, parts = min(local, key=lambda c: c[:2])
+    sizes = list(range(1, work.degree // 2 + 1))
+    factors = intpoly._find_factor(work, sizes, prime, parts)
+    witness = min((g.normalized() for g in factors), key=lambda w: w.coefficients[::-1],
+                  default=None)
+    return witness is None, witness
+
+
+def _random_monic(rng, degree):
+    return IntPolynomial([rng.randint(-3, 3) for _ in range(degree)] + [1])
+
+
+def _early_stop_corpus():
+    """Products of two and three random monic factors, squarefree, and
+    random monic polynomials and family members, all of degree 2-36."""
+    rng = random.Random(0)
+    corpus = [multinacci(n) for n in range(2, 20, 3)] + [root_power(n) for n in (2, 5, 9)]
+    corpus += [even_spread(n) for n in (6, 14, 22)]
+    corpus += [_random_monic(rng, rng.randint(2, 20)) for _ in range(20)]
+    for _ in range(60):
+        factors = [_random_monic(rng, rng.randint(1, 12)) for _ in range(rng.choice((2, 3)))]
+        corpus.append(reduce(lambda a, b: a * b, factors))
+    corpus += [reduce(lambda a, b: a * b, [_random_monic(rng, 12) for _ in range(3)])
+               for _ in range(2)]
+    return [p for p in corpus if len(_sturm_chain(p)[-1]) == 1]
+
+
+def test_early_stop_keeps_the_verdict_and_witness_of_a_complete_reference():
+    # the degree loop stops once its sizes settle, so it may leave sizes that
+    # a complete reading of primes would drop; _find_factor still returns
+    # every factor of the least size that has one
+    corpus = _early_stop_corpus()
+    reducible = 0
+    for p in corpus:
+        expected = _complete_reference(p)
+        assert is_irreducible(p, return_witness=True) == expected, p
+        reducible += expected[0] is False
+    assert len(corpus) > 80 and reducible > 50
+
+
+@pytest.fixture
+def primes_read(monkeypatch):
+    """Record the prime of every _distinct_degree_parts call."""
+    primes = []
+    original = intpoly._distinct_degree_parts
+
+    def spy(f, prime):
+        primes.append(prime)
+        return original(f, prime)
+
+    monkeypatch.setattr(intpoly, "_distinct_degree_parts", spy)
+    return primes
+
+
+def test_degree_loop_stops_once_its_sizes_settle(primes_read):
+    # x^5+x+1 = (x^2+x+1)(x^3-x^2+1): mod 2 the sizes settle at [2], and
+    # three more usable primes leave them there
+    assert is_irreducible(P("x^5+x+1"), return_witness=True) == (False, P("x^2+x+1"))
+    assert len(primes_read) <= 7
+
+
+@pytest.mark.parametrize(
+    "p", [P("x^5+x+1"), P("x^6-x^4+2x^2-1"), root_power(12), even_spread(102)],
+    ids=["x^5+x+1", "x^6-x^4+2x^2-1", "root_power(12)", "even_spread(102)"],
+)
+def test_early_stop_reads_no_more_primes_than_the_complete_loop(p, primes_read, monkeypatch):
+    early = is_irreducible(p, return_witness=True), len(primes_read)
+    primes_read.clear()
+    monkeypatch.setattr(intpoly, "SETTLED_PRIMES", math.inf)
+    complete = is_irreducible(p, return_witness=True), len(primes_read)
+    assert early[0] == complete[0]
+    assert early[1] <= complete[1]
 
 
 def _run_python(code, *args):

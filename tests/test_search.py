@@ -24,11 +24,13 @@ from minklat.intpoly import (
 from minklat.measures import m_lower_bound_signature
 from minklat import search
 from minklat.search import (
+    FLOOR_MARGIN,
     M_GUARD,
     WINDOW_SLACK,
     _companion_sums,
     _mirror_coeffs,
     _prescreen,
+    _real_root_floor,
     _square_sum_floor,
     _to_polynomial,
     _walk,
@@ -324,12 +326,45 @@ def test_square_sum_floor_is_below_the_eigenvalue_sum(n, a1_values, prune):
 
 
 @pytest.mark.parametrize("n, a1_values, prune", FLOOR_CASES)
+def test_real_root_floor_is_below_the_real_eigenvalue_sum(n, a1_values, prune):
+    # the eigenvalues that come out exactly real, as the prescreen sees them
+    _, leaves, _ = _prescreen_leaves(n, a1_values, prune)
+    companion = np.zeros((len(leaves), n, n))
+    companion[:, 1:, :-1] = np.eye(n - 1)
+    companion[:, 0, :] = -leaves
+    ev = np.linalg.eigvals(companion)
+    real_sum = np.where(ev.imag == 0, ev.real**2, 0.0).sum(axis=1)
+    assert np.all(_real_root_floor(leaves) <= real_sum * (1 + 1e-12))
+
+
+@pytest.mark.parametrize(
+    "text, floor",
+    [
+        ("x^2+1", 0.0),
+        ("x^2-2", 2.0),  # roots +-1.414: f(1) < 0 and f(-1) < 0
+        ("x^2-4", 4.5),  # f(2) = 0 proves nothing; f(3/2) < 0 does
+        ("x^2+x-7", 13.0),  # roots 2.19 and -3.19
+        ("x^3-7x", 12.5),  # roots 0 and +-2.65
+        ("x^3-10", 4.0),  # one root, 2.15
+        ("x^4-x-1", 1.0),  # roots 1.22 and -0.72
+    ],
+)
+def test_real_root_floor_reads_the_largest_sign_change_on_each_side(text, floor):
+    p = parse_polynomial(text)
+    leaf = np.array([p.coefficients[-2::-1]], dtype=np.int64)
+    assert _real_root_floor(leaf).tolist() == [floor]
+
+
+@pytest.mark.parametrize("n, a1_values, prune", FLOOR_CASES)
 def test_floor_keeps_the_survivors_of_the_all_leaf_eigen_path(n, a1_values, prune):
     sts, leaves, admitted = _prescreen_leaves(n, a1_values, prune)
     floored = _companion_sums(leaves, sts[0])
     solved = _companion_sums(leaves, math.inf)
     skipped = np.isinf(floored[1])
     assert skipped.any()
+    # the real-root floor skips leaves that the square-sum floor leaves open
+    open_by_square_sum = _square_sum_floor(leaves) <= 2 * sts[0] * (1 + FLOOR_MARGIN)
+    assert (skipped & open_by_square_sum).any()
     # a leaf the floor leaves to the eigen-solve gets the same floats
     for f, s in zip(floored, solved):
         assert np.array_equal(f[~skipped], s[~skipped])
