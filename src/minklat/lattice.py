@@ -7,20 +7,24 @@ then (Re, Im) per complex pair with no sqrt(2) weighting, which is what makes
 The embedding computes each conjugate's powers once and sums each row over
 its nonzero coefficients only, so Z[alpha]'s identity rows cost O(n^2) in all.
 
-LLL is floating-point: a Gram-Schmidt row is two matrix-vector products, the
-rows are a Python list of arrays, and size reduction and the Lovasz test run
-on Python floats. The enumerator is floating Fincke-Pohst over the
+LLL is floating-point. The rows are a Python list of arrays; the
+Gram-Schmidt data is computed from them once, each row by two matrix-vector
+products, and then kept as Python floats that size reduction and each swap
+update in O(n) (Cohen, Alg. 2.6.3). Updated data drifts from the rows' own
+on ill-conditioned power bases, so when a pass ends LLL reruns from data
+computed fresh from the rows, and returns only after a pass over such data
+that changes nothing: the LLL conditions hold on the returned rows' own
+Gram-Schmidt data. The enumerator is floating Fincke-Pohst over the
 LLL-reduced Gram, built and Cholesky-factored once, with a small radius
 slack; its recursion reads Python floats. Every candidate's form value is
 recomputed from its integer coordinates before acceptance so boundary vectors
 are never lost to drift in the recursion's partial sums. The vectors here
 have 2 to 40 entries, where numpy's per-call cost outweighs the arithmetic;
 each Python-float step is the same IEEE operation, in the same order, as the
-numpy form it replaces, so every float is unchanged.
+numpy form it replaces.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +36,6 @@ from .intpoly import IntPolynomial, _poly_mul, discriminant
 from .roots import ConjugateSet
 
 ENUMERATION_DIMENSION_CAP = 40
-BRUTE_FORCE_DIMENSION_CAP = 8
 RADIUS_SLACK = 1e-6
 DET_IDENTITY_RTOL = 1e-8
 LLL_DELTA = 0.99
@@ -193,51 +196,65 @@ def _gram_schmidt_row(
 
 
 def _lll(basis: np.ndarray):
-    """LLL reduction; returns (reduced basis, integer unimodular transform)."""
+    """LLL reduction; returns (reduced basis, integer unimodular transform).
+
+    Each pass starts from Gram-Schmidt data computed fresh from the rows and
+    keeps it current by updates: size reduction subtracts q * mu_j from mu_k,
+    and a swap updates B_{k-1}, B_k and mu_{k,k-1}, exchanges the two mu
+    prefixes and rotates columns k-1 and k of the rows below (Cohen,
+    Alg. 2.6.3). The first pass that changes nothing certifies the rows.
+    """
     # the rows are a list of arrays, so a swap exchanges two references
-    # instead of copying rows through fancy indexing
+    # instead of copying rows through fancy indexing; mu and B are Python
+    # floats, which round() and the updates read far faster than numpy
+    # scalars, and x - q*y on floats is the same IEEE step as on numpy
     b = list(basis.astype(float))
     n = len(b)
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     bstar = np.zeros((n, n))
-    mu = np.zeros((n, n))
-    norms = np.zeros(n)
-    for i in range(n):
-        _gram_schmidt_row(b, bstar, mu, norms, i)
-    # row i's Gram-Schmidt data reads only rows 0..i of b, so a change to row
-    # k leaves rows below k current; rows below `current` are up to date, and
-    # each stale row is recomputed from its prefix when k first reaches it
-    current = n
-    k = 1
-    while k < n:
-        while current <= k:
-            _gram_schmidt_row(b, bstar, mu, norms, current)
-            current += 1
-        # size reduction updates mu_k, row k's mu (b*_k is unchanged), then
-        # row k is recomputed once; mu_k is a Python list because round()
-        # reads Python floats far faster, and x - q*y on floats is the same
-        # IEEE step as on numpy. Only mu_k[:j] is read after step j, so
-        # mu_k[j] and mu[k] itself are left stale until that recompute
-        reduced = False
-        mu_k = mu[k].tolist()
-        for j in range(k - 1, -1, -1):
-            q = round(mu_k[j])
-            if q:
+    mu_fresh = np.zeros((n, n))
+    norms_fresh = np.zeros(n)
+    changed = True
+    while changed:
+        for i in range(n):
+            _gram_schmidt_row(b, bstar, mu_fresh, norms_fresh, i)
+        mu = mu_fresh.tolist()
+        norms = norms_fresh.tolist()
+        changed = False
+        k = 1
+        while k < n:
+            mu_k = mu[k]
+            for j in range(k - 1, -1, -1):
+                # round(x) is 0 exactly when |x| <= 1/2 (halves round to even)
+                if -0.5 <= mu_k[j] <= 0.5:
+                    continue
+                q = round(mu_k[j])
                 b[k] -= q * b[j]
                 u[k] = [uk - q * uj for uk, uj in zip(u[k], u[j])]
-                mu_k[:j] = [x - q * y for x, y in zip(mu_k, mu[j, :j].tolist())]
-                reduced = True
-        if reduced:
-            _gram_schmidt_row(b, bstar, mu, norms, k)
-            current = k + 1
-        # the Lovasz test on Python floats, the same IEEE steps as on numpy
-        # scalars
-        if norms.item(k) >= (LLL_DELTA - mu.item(k, k - 1) ** 2) * norms.item(k - 1):
-            k += 1
-        else:
+                mu_k[:j] = [x - q * y for x, y in zip(mu_k, mu[j][:j])]
+                mu_k[j] -= q
+                changed = True
+            m = mu_k[k - 1]
+            if norms[k] >= (LLL_DELTA - m ** 2) * norms[k - 1]:
+                k += 1
+                continue
             b[k - 1], b[k] = b[k], b[k - 1]
             u[k - 1], u[k] = u[k], u[k - 1]
-            current = k - 1
+            # entries on and right of the diagonal are never read, so
+            # exchanging the two lists exchanges the prefixes
+            mu[k - 1], mu[k] = mu_k, mu[k - 1]
+            prev = norms[k] + m ** 2 * norms[k - 1]  # the new B_{k-1}
+            m_new = m * norms[k - 1] / prev
+            norms[k] = norms[k - 1] * norms[k] / prev
+            norms[k - 1] = prev
+            if norms[k] <= 0.0:
+                raise ArithmeticError("lattice basis lost positive definiteness")
+            mu[k][k - 1] = m_new
+            for mu_i in mu[k + 1:]:
+                t = mu_i[k]
+                mu_i[k] = mu_i[k - 1] - m * t
+                mu_i[k - 1] = t + m_new * mu_i[k]
+            changed = True
             k = max(k - 1, 1)
     return np.array(b), tuple(tuple(row) for row in u)
 
@@ -260,8 +277,13 @@ def lll_reduce(
 ) -> Tuple[np.ndarray, Tuple[Tuple[int, ...], ...]]:
     """delta=0.99 LLL reduction of the lattice's basis rows; returns the
     reduced rows and the integer unimodular transform U with
-    U @ lat.basis_matrix equal to them up to rounding. Every Gram-Schmidt
-    norm of the reduced rows is positive, else ArithmeticError.
+    U @ lat.basis_matrix equal to them up to rounding.
+
+    Swaps update the Gram-Schmidt data in O(n) instead of recomputing it;
+    the result is certified by a final pass over Gram-Schmidt data computed
+    fresh from the returned rows, on which size reduction and the Lovasz
+    test change nothing. Every Gram-Schmidt norm, updated or fresh, is
+    positive, else ArithmeticError.
     """
     return _lll(lat.basis_matrix)
 
@@ -437,63 +459,3 @@ def shortest_vector(lat: EmbeddedLattice) -> ShortestVectorResult:
         raise RuntimeError("minimum exceeds the psi(1) witness; internal error")
     return result
 
-
-def brute_force_shortest(
-    lat: EmbeddedLattice, radius_sq: float
-) -> ShortestVectorResult:
-    """Exhaustive integer-box oracle for small dimensions.
-
-    Box bounds: any v with v^T G v <= r^2 has |v_i| <= sqrt(r^2 (G^-1)_ii).
-    """
-    if lat.dimension > BRUTE_FORCE_DIMENSION_CAP:
-        raise ValueError(
-            f"dimension {lat.dimension} exceeds brute-force cap "
-            f"{BRUTE_FORCE_DIMENSION_CAP}"
-        )
-    n = lat.dimension
-    inv = np.linalg.inv(lat.gram)
-    bounds = [int(math.floor(math.sqrt(radius_sq * inv[i, i]) + 1e-9)) for i in range(n)]
-    grids = [np.arange(-b, b + 1, dtype=np.int64) for b in bounds]
-
-    # vectorize the trailing dimensions, loop the leading ones
-    split = n
-    inner_size = 1
-    for i in range(n - 1, -1, -1):
-        nxt = inner_size * len(grids[i])
-        if nxt > 2_000_000:
-            break
-        inner_size = nxt
-        split = i
-    outer_grids = grids[:split]
-    inner = (
-        np.stack(np.meshgrid(*grids[split:], indexing="ij"), axis=-1).reshape(-1, n - split)
-        if split < n
-        else np.zeros((1, 0), dtype=np.int64)
-    )
-    best_val = math.inf
-    best_list: List[Tuple[int, ...]] = []
-
-    outer_iter = itertools.product(*[g.tolist() for g in outer_grids]) if split else [()]
-    for head in outer_iter:
-        pts = np.empty((inner.shape[0], n), dtype=np.int64)
-        if split:
-            pts[:, :split] = np.array(head, dtype=np.int64)
-        pts[:, split:] = inner
-        emb = pts.astype(float) @ lat.basis_matrix
-        vals = np.einsum("ij,ij->i", emb, emb)
-        nonzero = np.any(pts != 0, axis=1)
-        ok = nonzero & (vals <= radius_sq + 1e-9)
-        if not np.any(ok):
-            continue
-        sel_vals = vals[ok]
-        sel_pts = pts[ok]
-        local_min = float(sel_vals.min())
-        if local_min < best_val - 1e-9:
-            best_val = local_min
-            best_list = []
-        keep = sel_vals <= best_val + 1e-9
-        best_list.extend(tuple(int(c) for c in row) for row in sel_pts[keep])
-    if not best_list:
-        raise RuntimeError("radius search empty")
-    coords, sq_len = _pick_minimizer(lat.basis_matrix, best_list)
-    return _result_from_coords(lat, coords, sq_len, "brute_force")

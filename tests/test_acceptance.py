@@ -17,6 +17,7 @@ import mpmath
 import pytest
 
 from conftest import record_acceptance
+from lattice_oracle import brute_force_shortest
 from test_search import DEG3_TABLE, DEG4_TABLE, DEG5_TABLE, DEG6_TABLE
 
 from minklat.constants import (
@@ -37,7 +38,7 @@ from minklat.intpoly import (
     parse_polynomial,
     sturm_real_count,
 )
-from minklat.lattice import build_embedding, brute_force_shortest, shortest_vector
+from minklat.lattice import build_embedding, shortest_vector
 from minklat.roots import find_roots, multinacci_location_check, pisot_check
 from minklat.search import enumerate_m_lt_one, subelement_scan
 from minklat.verify import (

@@ -20,17 +20,17 @@ from minklat.intpoly import (
     make_family,
     multinacci,
     parse_polynomial,
+    root_power,
     truncated_geom,
 )
 from minklat.lattice import (
-    BRUTE_FORCE_DIMENSION_CAP,
     ENUMERATION_DIMENSION_CAP,
     LLL_DELTA,
     RADIUS_SLACK,
     build_embedding,
-    brute_force_shortest,
     lll_reduce,
     shortest_vector,
+    _combine_rows,
     _exact_det,
     _fincke_pohst,
     _lll,
@@ -38,6 +38,7 @@ from minklat.lattice import (
 )
 from minklat.measures import m_lower_bound_signature
 from minklat.roots import find_roots
+from lattice_oracle import BRUTE_FORCE_DIMENSION_CAP, brute_force_shortest
 from test_search import DEG3_TABLE, DEG4_TABLE, DEG5_TABLE, DEG6_TABLE
 
 
@@ -246,11 +247,20 @@ LLL_FAMILY_BASES = {
     "root_power8": make_family("root-power", 8).to_text(),
 }
 
+# power bases where the updated Gram-Schmidt data drifts so far that the
+# first pass ends with the LLL conditions broken on the rows' own data, and
+# only the pass over data computed fresh from the rows repairs them
+LLL_DRIFT_BASES = {
+    "multinacci28": multinacci(28).to_text(),
+    "multinacci30": multinacci(30).to_text(),
+}
+
 
 @pytest.mark.parametrize(
     "text",
     ["x^3-x-1", "x^6+x^2-1", "x^4+x^2-1"]
-    + [pytest.param(text, id=name) for name, text in LLL_FAMILY_BASES.items()],
+    + [pytest.param(text, id=name) for name, text in LLL_FAMILY_BASES.items()]
+    + [pytest.param(text, id=name) for name, text in LLL_DRIFT_BASES.items()],
 )
 def test_lll_preserves_lattice(text):
     lat = lattice_of(text)
@@ -279,6 +289,7 @@ def test_lll_reduces_skewed_basis():
 @pytest.mark.parametrize(
     "text,basis",
     [pytest.param(text, None, id=name) for name, text in LLL_FAMILY_BASES.items()]
+    + [pytest.param(text, None, id=name) for name, text in LLL_DRIFT_BASES.items()]
     + [
         pytest.param(
             "x^3-x-1", [[1, 0, 0], [7, 1, 0], [23, 9, 1]], id="skewed_cubic"
@@ -306,7 +317,9 @@ def test_lll_conditions_hold(text, basis):
 
 def _numpy_lll(basis):
     """LLL with every step on numpy arrays and scalars: rows swapped by fancy
-    indexing, mu[k] reduced in place, the Lovasz test on numpy scalars."""
+    indexing, mu[k] reduced in place, the Lovasz test on numpy scalars, and
+    each changed Gram-Schmidt row recomputed from the rows before it is
+    read."""
     b = basis.astype(float).copy()
     n = b.shape[0]
     u = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -346,9 +359,26 @@ def _numpy_lll(basis):
     return b, tuple(tuple(row) for row in u)
 
 
+# every family input of the lattice benchmark up to dimension 27, and the
+# 67 m < 1 polynomials of degrees 3 to 6
+LLL_BYTE_IDENTITY_BASES = {
+    **{f"multinacci{n}": multinacci(n).to_text() for n in range(9, 28)},
+    **{f"truncated_geom{n}": truncated_geom(n).to_text() for n in range(10, 23)},
+    **{f"root_power{n}": root_power(n).to_text() for n in range(2, 9)},
+    **{
+        text: text
+        for table in (DEG3_TABLE, DEG4_TABLE, DEG5_TABLE, DEG6_TABLE)
+        for text, _ in table
+    },
+}
+
+
 @pytest.mark.parametrize(
     "text,basis",
-    [pytest.param(text, None, id=name) for name, text in LLL_FAMILY_BASES.items()]
+    [
+        pytest.param(text, None, id=name)
+        for name, text in LLL_BYTE_IDENTITY_BASES.items()
+    ]
     + [
         pytest.param(
             "x^3-x-1", [[1, 0, 0], [7, 1, 0], [23, 9, 1]], id="skewed_cubic"
@@ -356,9 +386,11 @@ def _numpy_lll(basis):
     ],
 )
 def test_lll_bit_identical_to_numpy_form(text, basis):
-    # _lll keeps its rows in a list and reduces mu[k] and tests Lovasz on
-    # Python floats; each step is the same IEEE operation as on numpy, so the
-    # reduced rows and the transform must be the same bytes
+    # _lll updates mu and B at each swap instead of recomputing Gram-Schmidt
+    # rows; the updated floats differ from recomputed ones, but on these
+    # bases every rounding and every Lovasz decision is the same, so the
+    # reduced rows (each row step is the same IEEE operation) and the
+    # transform must be the same bytes as the recomputing reference's
     lat = build_embedding(find_roots(parse_polynomial(text)), basis=basis)
     reduced, transform = _lll(lat.basis_matrix)
     expected, expected_transform = _numpy_lll(lat.basis_matrix)
@@ -406,6 +438,24 @@ def test_fincke_pohst_matches_box_enumeration(text, basis, scale):
     found = _fincke_pohst(reduced @ reduced.T, radius_sq)
     assert len(found) == len(set(found))
     assert set(found) == _box_candidates(reduced, radius_sq)
+
+
+def _mapped_candidates(lat, lll, radius_sq):
+    reduced, transform = lll(lat.basis_matrix)
+    found = _fincke_pohst(reduced @ reduced.T, radius_sq)
+    return sorted(_combine_rows(v, transform) for v in found)
+
+
+@pytest.mark.parametrize("n", range(23, 41))
+def test_drifting_bases_keep_the_reference_candidates(n):
+    # from n = 28 the reduced basis differs from the reference's (the
+    # certification pass reran LLL), but the lattice vectors within the
+    # psi(1) radius, in the caller's coordinates, are the same
+    lat = build_embedding(find_roots(multinacci(n)))
+    radius_sq = sum(lat.signature) + RADIUS_SLACK
+    assert _mapped_candidates(lat, _lll, radius_sq) == _mapped_candidates(
+        lat, _numpy_lll, radius_sq
+    )
 
 
 def test_multinacci_twelve_minimum_is_one():
@@ -482,6 +532,27 @@ def test_family_minimizers_frozen(family, n, coords, mdeg, minpoly):
     assert sv.coordinates == coords
     assert sv.minimizer_degree == mdeg
     assert sv.minimizer_minpoly.to_text() == minpoly
+
+
+# minima of power bases where the certification pass changes the reduced
+# basis, frozen from the LLL that recomputed Gram-Schmidt rows after every
+# change: (n, coordinates, squared_length, m)
+FROZEN_DRIFT_MINIMA = [
+    (28, _unit(28, 0), 15.0, 1.0),
+    (30, _unit(30, 0), 16.0, 1.0),
+    (40, (1,) * 39 + (-1,), 20.98664558513765, 0.9993640754827453),
+]
+
+
+@pytest.mark.parametrize(
+    "n,coords,sq,m",
+    [pytest.param(*row, id=f"multinacci{row[0]}") for row in FROZEN_DRIFT_MINIMA],
+)
+def test_drifting_bases_minima_frozen(n, coords, sq, m):
+    sv = shortest_vector(build_embedding(find_roots(multinacci(n))))
+    assert sv.coordinates == coords
+    assert sv.squared_length == sq
+    assert sv.m_value == m
 
 
 def _min_squared_length(p):
