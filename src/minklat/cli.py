@@ -202,22 +202,18 @@ def analyze(
 @main.command()
 @click.argument("degree", type=int)
 @click.option("--signature", default=None, help="restrict to one signature, e.g. 2,2")
-@click.option("--no-prune", is_flag=True, help="raw coefficient box (degree <= 4)")
 @click.option("--threads", type=click.IntRange(1, 64), default=1, show_default=True)
 @_FORMAT
 def search(
     degree: int,
     signature: Optional[str],
-    no_prune: bool,
     threads: int,
     fmt: str,
 ) -> None:
     """Enumerate all monic integer polynomials of one degree with m < 1."""
     sig = _parse_signature(signature)
     try:
-        report = enumerate_m_lt_one(
-            degree, signature_filter=sig, prune=not no_prune, threads=threads
-        )
+        report = enumerate_m_lt_one(degree, signature_filter=sig, threads=threads)
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         raise click.ClickException(str(exc))
     if fmt == "json":

@@ -1,7 +1,7 @@
 """Exhaustive search for monic integer polynomials with m below one.
 
 The raw coefficient box |a_i| < C(n,i)(s+t)^(i/2) is astronomically large by
-degree 6, so the default pipeline generates candidates through sound prunes:
+degree 6, so the pipeline generates candidates through sound prunes:
 
   * constant term forced to +-1 (any norm >= 2 pushes m over the universal
     floor for n <= 23, see measures.unit_necessity_gate);
@@ -30,8 +30,9 @@ below: one Graeffe root-squaring step and Maclaurin's inequality give a
 floor on the first, and the signs of f at +-1, +-3/2, ..., +-3 put real
 roots beyond those points.  A leaf whose bound exceeds s+t by 1% on the
 largest ball is discarded unsolved: 85% of the leaves at degree 5, 96% at
-degree 6. The raw box passes through the same prescreen, so pruned and
-unpruned runs agreeing at degrees 3 and 4 validates the walk's prunes.
+degree 6. The tests run every raw-box leaf through the same prescreen and
+exact stage, and their agreement with the walk at degrees 3 and 4 validates
+the walk's prunes.
 Survivors face the exact stage, per signature: the Sturm count decides the
 signature, then certified irreducibility, then the size profile's m.
 
@@ -48,8 +49,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
-from math import comb, isqrt
+from math import comb
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,31 +58,15 @@ from .intpoly import IntPolynomial, is_irreducible_of_signature
 from .measures import m_lower_bound_signature, size_profile
 from .roots import find_roots
 
-MAX_SEARCH_DEGREE = 8
+# the largest degree that has run: one a_1 slice of the degree-7 walk holds
+# 5e8 leaves, more memory than a whole-slice scan can have
+MAX_SEARCH_DEGREE = 6
 M_GUARD = 1e-9
 PRESCREEN_M_GUARD = 1e-6
 PRESCREEN_CHUNK = 4096
 FLOOR_MARGIN = 0.01
 REAL_ROOT_POINTS = ((1, 1), (3, 2), (2, 1), (5, 2), (3, 1))  # c = num/den, ascending
 WINDOW_SLACK = 1.0 + 1e-6
-
-
-# -- coefficient boxes ---------------------------------------------------------------
-
-def _strict_below(c: int, base: int, i: int) -> int:
-    """Largest integer strictly below c * base^(i/2), exactly."""
-    sq = c * c * base**i
-    u = isqrt(sq)
-    return u - 1 if u * u == sq else u
-
-
-def coefficient_bounds(n: int, s_plus_t: int) -> List[int]:
-    """Strict bounds for |a_i|, i = 1..n: every monic integer polynomial all
-    of whose roots have modulus below sqrt(s+t) satisfies |a_i| < C(n,i)(s+t)^(i/2).
-    """
-    if not 1 <= s_plus_t <= n:
-        raise ValueError("need 1 <= s+t <= n")
-    return [_strict_below(comb(n, i), s_plus_t, i) for i in range(1, n + 1)]
 
 
 # -- candidate generation -------------------------------------------------------------
@@ -218,15 +202,6 @@ def _walk(
     return leaves, admitted[:, keep]
 
 
-def _box(n: int, s_plus_t: int, a1_values: Iterable[int]) -> np.ndarray:
-    """Full coefficient box, no prunes beyond the box itself, as an (L, n)
-    int64 array in lexicographic order."""
-    bounds = coefficient_bounds(n, s_plus_t)
-    a1_in_box = [a1 for a1 in a1_values if abs(a1) <= bounds[0]]
-    box = product(a1_in_box, *(range(-b, b + 1) for b in bounds[1:]))
-    return np.array(list(box), dtype=np.int64).reshape(-1, n)
-
-
 # -- eigenvalue prescreen -------------------------------------------------------------
 
 def _square_sum_floor(leaves: np.ndarray) -> np.ndarray:
@@ -241,9 +216,10 @@ def _square_sum_floor(leaves: np.ndarray) -> np.ndarray:
     so n (|E_k| / C(n,k))^(1/k) <= sum |alpha_i|^2 for every k; the floor
     is their maximum.  At k = 1 it is |p_2|.
 
-    The walk's and the raw box's leaves have |a_u| <= C(n,u) r^u with
-    r^2 <= n, so |E_k| <= C(2n,2k) n^k < 2^29 at n <= 8: int64 and float64
-    hold every E_k exactly.
+    The walk's leaves, and those of the raw coefficient box the tests
+    compare it with, have |a_u| <= C(n,u) r^u with r^2 <= n, so |E_k| <=
+    C(2n,2k) n^k < 2^29 at n <= 8: int64 and float64 hold every E_k
+    exactly.
     """
     k, n = leaves.shape
     a = np.ones((k, n + 1), dtype=np.int64)
@@ -376,7 +352,6 @@ class SearchReport:
     inconclusive: Tuple[Tuple[IntPolynomial, float], ...]
     stats: Dict[str, int]
     wall_time: float  # diagnostics: left out of to_json_dict to keep reports byte-stable
-    pruned: bool
 
     def total_count(self) -> int:
         return sum(g.count for g in self.groups)
@@ -389,7 +364,6 @@ class SearchReport:
                 {"polynomial": p.to_text(), "m": m} for p, m in self.inconclusive
             ],
             "stats": dict(self.stats),
-            "pruned": self.pruned,
         }
 
     def csv_rows(self) -> List[Tuple[str, str, str, str]]:
@@ -413,28 +387,23 @@ def _m_value(coeffs: Sequence[int], n: int) -> float:
 
 
 def _scan_slice(
-    n: int, signatures: Sequence[Tuple[int, int]], a1_values: Sequence[int], prune: bool
+    n: int, signatures: Sequence[Tuple[int, int]], a1_values: Sequence[int]
 ) -> List[Tuple[Counter, List[Tuple[Tuple[int, ...], float]]]]:
     """The search pipeline on one slice of a_1 values, for every signature
     of the degree at once: walk, prescreen, exact signature and
     irreducibility, then m.
 
-    The pruned walk runs once per a_1 value, on the largest ball (the
-    signatures come largest s+t first), and marks the leaves each smaller
-    ball admits; the companion eigenvalues are computed once per leaf. The
-    raw box has one signature per degree.  Returns, per signature, the stage
-    counts and every (a_1..a_n, m) with m <= 1 + M_GUARD; the pruned walk
-    lists one member per mirror orbit, so there the mirror is returned too
-    where its own m passes that test.
+    The walk runs once per a_1 value, on the largest ball (the signatures
+    come largest s+t first), and marks the leaves each smaller ball admits;
+    the companion eigenvalues are computed once per leaf.  Returns, per
+    signature, the stage counts and every (a_1..a_n, m) with m <= 1 +
+    M_GUARD; the walk lists one member per mirror orbit, so the mirror is
+    returned too where its own m passes that test.
     """
     sts = [s + t for s, t in signatures]
     parts = [(Counter(generated=0, passed_prescreen=0), []) for _ in signatures]
     for a1 in a1_values:
-        if prune:
-            leaves, admitted = _walk(n, [a1], [2 * st for st in sts], False)
-        else:
-            leaves = _box(n, sts[0], [a1])
-            admitted = np.ones((1, len(leaves)), dtype=bool)
+        leaves, admitted = _walk(n, [a1], [2 * st for st in sts], False)
         sums = _companion_sums(leaves, sts[0])
         for (s, _), st, mask, (counts, found) in zip(signatures, sts, admitted, parts):
             survivors = leaves[mask & _prescreen(sums, st)].tolist()
@@ -449,10 +418,11 @@ def _scan_slice(
                     continue
                 found.append((coeffs, m))
                 mirror = _mirror_coeffs(coeffs)
-                if prune and mirror != coeffs:
+                if mirror != coeffs:
                     # the mirror passes the same filters by symmetry; its m is
                     # mathematically equal but recomputed from its own roots
-                    # so the float agrees bit-for-bit with an unpruned run
+                    # so the float agrees bit-for-bit with a search that lists
+                    # both orbit members
                     mirror_m = _m_value(mirror, n)
                     if mirror_m <= 1.0 + M_GUARD:
                         found.append((mirror, mirror_m))
@@ -464,20 +434,15 @@ def _scan_slice(
 def enumerate_m_lt_one(
     n: int,
     signature_filter: Optional[Tuple[int, int]] = None,
-    prune: bool = True,
     threads: int = 1,
 ) -> SearchReport:
     """All monic irreducible integer polynomials of degree n with m < 1.
 
-    With prune=False the full raw coefficient box is enumerated instead
-    (feasible through degree 4 only) and the same exact filters applied;
-    the two modes must agree polynomial-for-polynomial.  Threads split the
-    a_1 values of the degree.
+    Degrees above MAX_SEARCH_DEGREE are refused before the walk.  Threads
+    split the a_1 values of the degree.
     """
     if not 2 <= n <= MAX_SEARCH_DEGREE:
         raise ValueError(f"degree must be within [2, {MAX_SEARCH_DEGREE}]")
-    if not prune and n > 4:
-        raise ValueError("unpruned search supported only through degree 4")
     signatures = admissible_signatures(n)
     if signature_filter is not None:
         sf = (int(signature_filter[0]), int(signature_filter[1]))
@@ -492,14 +457,10 @@ def enumerate_m_lt_one(
     parts = []
     if signatures:
         st = sum(signatures[0])  # the largest ball
-        if prune:
-            a1_cap = int(math.sqrt(2 * n * st) * WINDOW_SLACK)
-            a1_values = list(range(0, a1_cap + 1))
-        else:
-            a1_cap = coefficient_bounds(n, st)[0]
-            a1_values = list(range(-a1_cap, a1_cap + 1))
+        a1_cap = int(math.sqrt(2 * n * st) * WINDOW_SLACK)
+        a1_values = list(range(0, a1_cap + 1))
         workers = max(1, min(threads, len(a1_values)))
-        jobs = [(n, signatures, a1_values[i::workers], prune) for i in range(workers)]
+        jobs = [(n, signatures, a1_values[i::workers]) for i in range(workers)]
         if workers == 1:
             parts = [_scan_slice(*jobs[0])]
         else:
@@ -526,7 +487,6 @@ def enumerate_m_lt_one(
         inconclusive=tuple(inconclusive),
         stats=dict(stats),
         wall_time=time.perf_counter() - t0,
-        pruned=prune,
     )
 
 

@@ -172,6 +172,7 @@ def test_search_json_is_deterministic_without_timing(runner):
     )
     assert first.output == second.output
     payload = json.loads(first.output)
+    assert set(payload) == {"degree", "groups", "inconclusive", "stats"}
     assert "wall_time" not in payload
     assert set(payload["stats"]) == {
         "generated",
@@ -193,15 +194,12 @@ def test_search_signature_filter(runner):
     assert empty.exit_code == 1
 
 
-def test_search_no_prune_cap(runner):
-    result = runner.invoke(main, ["search", "5", "--no-prune"])
-    assert result.exit_code == 1
-    assert "through degree 4" in result.output
-
-
 def test_search_degree_out_of_range(runner):
-    result = runner.invoke(main, ["search", "9"])
-    assert result.exit_code == 1
+    # degree 7 is refused before the walk, which could not hold its leaves
+    for degree in ("7", "9"):
+        result = runner.invoke(main, ["search", degree])
+        assert result.exit_code == 1
+        assert "degree must be within [2, 6]" in result.output
 
 
 def test_search_bad_signature_text(runner):

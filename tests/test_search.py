@@ -1,4 +1,5 @@
-"""Exhaustive m < 1 search: boxes, tables, prune soundness, subelement scans.
+"""Exhaustive m < 1 search: tables, prune soundness against the raw
+coefficient box (tests/search_oracle.py), the walk, subelement scans.
 
 The degree 3-6 result sets are frozen below in full. Each member was
 certified outside the search pipeline before freezing: irreducibility by
@@ -9,7 +10,7 @@ pairs and 6 even-coefficient singletons); sets of this shape always have an
 even count plus the singleton count, and all 6 singletons are certified.
 """
 import math
-from math import comb, factorial, isqrt
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from minklat.intpoly import (
 )
 from minklat.measures import m_lower_bound_signature
 from minklat import search
+from search_oracle import coefficient_bounds, raw_box, raw_box_search
 from minklat.search import (
     FLOOR_MARGIN,
     M_GUARD,
@@ -35,7 +37,6 @@ from minklat.search import (
     _to_polynomial,
     _walk,
     admissible_signatures,
-    coefficient_bounds,
     enumerate_m_lt_one,
     subelement_scan,
 )
@@ -278,7 +279,7 @@ def test_entries_sorted_ascending(search_report_6):
 # -- prune soundness -------------------------------------------------------------------
 
 def test_prescreen_keeps_every_table_member_and_its_mirror():
-    # the pruned and the raw walk share this one float discard, so their
+    # the walk and the raw-box oracle share this one float discard, so their
     # agreement cannot catch an m guard tightened past a table member
     for table in (DEG3_TABLE, DEG4_TABLE, DEG5_TABLE, DEG6_TABLE):
         for text, _ in table:
@@ -292,17 +293,18 @@ def test_prescreen_keeps_every_table_member_and_its_mirror():
                 assert _prescreen(sums, st).tolist() == [True], (text, c)
 
 
-def _prescreen_leaves(n, a1_values, prune):
-    """The leaves _scan_slice hands the prescreen for these a_1 values
-    (None: all of them), with every signature's s+t and admitted mask."""
+def _prescreen_leaves(n, a1_values, walk):
+    """The leaves the prescreen sees, with every signature's s+t and
+    admitted mask: the walk's for these a_1 values (None: all of them), as
+    _scan_slice hands them over, or else the whole raw box of the largest
+    ball, as raw_box_search hands it over (its a_1 of either sign sends
+    wider coefficients through the floors)."""
     sts = [s + t for s, t in admissible_signatures(n)]
-    if prune:
+    if walk:
         leaves, admitted = _walk(n, a1_values, [2 * st for st in sts], False)
         return sts, leaves, admitted
-    if a1_values is None:
-        cap = coefficient_bounds(n, sts[0])[0]
-        a1_values = range(-cap, cap + 1)
-    leaves = search._box(n, sts[0], a1_values)
+    assert a1_values is None
+    leaves = raw_box(n, sts[0])
     return sts[:1], leaves, np.ones((1, len(leaves)), dtype=bool)
 
 
@@ -318,17 +320,17 @@ FLOOR_CASES = [
 ]
 
 
-@pytest.mark.parametrize("n, a1_values, prune", FLOOR_CASES)
-def test_square_sum_floor_is_below_the_eigenvalue_sum(n, a1_values, prune):
-    _, leaves, _ = _prescreen_leaves(n, a1_values, prune)
+@pytest.mark.parametrize("n, a1_values, walk", FLOOR_CASES)
+def test_square_sum_floor_is_below_the_eigenvalue_sum(n, a1_values, walk):
+    _, leaves, _ = _prescreen_leaves(n, a1_values, walk)
     _, total = _companion_sums(leaves, math.inf)
     assert np.all(_square_sum_floor(leaves) <= total * (1 + 1e-12))
 
 
-@pytest.mark.parametrize("n, a1_values, prune", FLOOR_CASES)
-def test_real_root_floor_is_below_the_real_eigenvalue_sum(n, a1_values, prune):
+@pytest.mark.parametrize("n, a1_values, walk", FLOOR_CASES)
+def test_real_root_floor_is_below_the_real_eigenvalue_sum(n, a1_values, walk):
     # the eigenvalues that come out exactly real, as the prescreen sees them
-    _, leaves, _ = _prescreen_leaves(n, a1_values, prune)
+    _, leaves, _ = _prescreen_leaves(n, a1_values, walk)
     companion = np.zeros((len(leaves), n, n))
     companion[:, 1:, :-1] = np.eye(n - 1)
     companion[:, 0, :] = -leaves
@@ -355,9 +357,9 @@ def test_real_root_floor_reads_the_largest_sign_change_on_each_side(text, floor)
     assert _real_root_floor(leaf).tolist() == [floor]
 
 
-@pytest.mark.parametrize("n, a1_values, prune", FLOOR_CASES)
-def test_floor_keeps_the_survivors_of_the_all_leaf_eigen_path(n, a1_values, prune):
-    sts, leaves, admitted = _prescreen_leaves(n, a1_values, prune)
+@pytest.mark.parametrize("n, a1_values, walk", FLOOR_CASES)
+def test_floor_keeps_the_survivors_of_the_all_leaf_eigen_path(n, a1_values, walk):
+    sts, leaves, admitted = _prescreen_leaves(n, a1_values, walk)
     floored = _companion_sums(leaves, sts[0])
     solved = _companion_sums(leaves, math.inf)
     skipped = np.isinf(floored[1])
@@ -392,21 +394,21 @@ def test_floor_leaves_a_double_root_leaf_at_the_ball_to_the_eigen_solve():
 
 
 def test_pruned_equals_raw_degree3(search_report_3):
-    raw = enumerate_m_lt_one(3, prune=False)
+    raw = raw_box_search(3)
     assert _flat(raw) == _flat(search_report_3)
     assert raw.stats["generated"] == 495  # the full (2·4+1)(2·5+1)(2·2+1) box
 
 
 def test_pruned_equals_raw_degree4(search_report_4):
-    raw = enumerate_m_lt_one(4, prune=False)
+    raw = raw_box_search(4)
     assert _flat(raw) == _flat(search_report_4)
 
 
 def test_pruned_scan_drops_a_mirror_whose_own_m_is_above_the_guard(monkeypatch):
     # the mirror's m is computed from its own roots; where that float lands
-    # above 1 + M_GUARD the mirror is dropped, as an unpruned run drops it
+    # above 1 + M_GUARD the mirror is dropped, as the raw-box oracle drops it
     a1_values = [0, 1, 2]
-    [(_, found)] = search._scan_slice(3, [(1, 1)], a1_values, True)
+    [(_, found)] = search._scan_slice(3, [(1, 1)], a1_values)
     leaves = set(_leaves(3, a1_values, 4, False, True))
     pushed = {_mirror_coeffs(c) for c in leaves} - leaves
     assert pushed & {c for c, _ in found}
@@ -416,7 +418,7 @@ def test_pruned_scan_drops_a_mirror_whose_own_m_is_above_the_guard(monkeypatch):
         return 1.0 + 2 * M_GUARD if coeffs in pushed else real_m_value(coeffs, n)
 
     monkeypatch.setattr(search, "_m_value", m_value)
-    [(_, kept)] = search._scan_slice(3, [(1, 1)], a1_values, True)
+    [(_, kept)] = search._scan_slice(3, [(1, 1)], a1_values)
     assert kept == [(c, m) for c, m in found if c not in pushed]
 
 
@@ -676,10 +678,9 @@ def test_signature_filter(search_report_5):
 def test_degree_caps():
     with pytest.raises(ValueError):
         enumerate_m_lt_one(1)
-    with pytest.raises(ValueError):
-        enumerate_m_lt_one(9)
-    with pytest.raises(ValueError):
-        enumerate_m_lt_one(5, prune=False)
+    for n in (7, 8, 9):  # refused before the walk allocates anything
+        with pytest.raises(ValueError, match=r"within \[2, 6\]"):
+            enumerate_m_lt_one(n)
     with pytest.raises(ValueError):
         enumerate_m_lt_one(5, signature_filter=(2, 1))
 
@@ -697,7 +698,7 @@ def test_report_json_and_csv(search_report_3):
     assert d["degree"] == 3
     assert d["groups"][0]["signature"] == [1, 1]
     assert d["groups"][0]["count"] == 4
-    assert d["pruned"] is True
+    assert "pruned" not in d  # the walk is the only leaf source
     assert "wall_time" not in d  # timing stays out of byte-stable reports
     rows = search_report_3.csv_rows()
     assert rows[0] == ("(1,1)", "x^3-x^2+1", "0.947279124", "0.944940787")
