@@ -3,7 +3,7 @@ embeddings, size measures, short-vector search, and an exhaustive hunt for
 small normalised square sizes.
 """
 
-from .intpoly import IntPolynomial, parse_polynomial, make_family
+from .intpoly import IntPolynomial, parse_polynomial
 
-__all__ = ["IntPolynomial", "parse_polynomial", "make_family"]
+__all__ = ["IntPolynomial", "parse_polynomial"]
 __version__ = "0.1.0"

@@ -3,22 +3,26 @@
 Each subcommand binds one library module: analyze (roots and size measures of
 one polynomial), search (full-degree enumeration), lattice (embedding and
 shortest vector), family (named constructions with their location checks),
-verify (the check suite).  Reports are assembled in memory and written once,
-so an error path never leaves a partial report behind.
+verify (the check suite).  This module is the one report writer: the library
+returns plain results, and every report's keys, column order and number
+formats are set here.  Reports are assembled in memory and written once, so an
+error path never leaves a partial report behind.
 
 Exit codes: 2 for unusable arguments (click usage errors and polynomial parse
 errors), 1 for computation errors and for any verify verdict that is not a
 pass, 0 otherwise.
 """
 import json
+import math
 import re
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import click
 
 from .constants import UNIVERSAL_M_FLOOR
 from .intpoly import (
     IntPolynomial,
+    discriminant,
     even_spread,
     multinacci,
     multinacci_cofactor,
@@ -43,8 +47,14 @@ from .roots import (
     multinacci_location_check,
     pisot_check,
 )
-from .search import enumerate_m_lt_one
-from .verify import check_cubic2, check_erdos_turan_suite, check_kiy, run_suite
+from .search import SearchReport, enumerate_m_lt_one
+from .verify import (
+    CheckRecord,
+    check_cubic2,
+    check_erdos_turan_suite,
+    check_kiy,
+    run_suite,
+)
 
 
 def _parse_polynomial(text: str) -> IntPolynomial:
@@ -98,6 +108,43 @@ _PRECISION = click.option(
 )
 
 
+# -- report layout ------------------------------------------------------------------
+
+
+def _entries_json(entries: Sequence[Tuple[IntPolynomial, float]]) -> List[dict]:
+    return [{"polynomial": p.to_text(), "m": m} for p, m in entries]
+
+
+def _search_rows(report: SearchReport) -> List[Tuple[str, str, str, str]]:
+    """(signature, polynomial, m, lower bound) per found polynomial."""
+    rows = []
+    for g in report.groups:
+        sig = f"({g.signature[0]},{g.signature[1]})"
+        for p, m in g.entries:
+            rows.append((sig, p.to_text(), f"{m:.9f}", f"{g.lower_bound:.9f}"))
+    return rows
+
+
+def _finite_or_text(x: object) -> object:
+    """JSON has no inf or nan, so a non-finite float is written as its text."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return str(x)
+    return x
+
+
+def _check_json(r: CheckRecord) -> dict:
+    return {
+        "check_id": r.check_id,
+        "parameters": {k: _finite_or_text(v) for k, v in r.parameters.items()},
+        "observed": _finite_or_text(r.observed),
+        "predicted": _finite_or_text(r.predicted),
+        "residual": _finite_or_text(r.residual),
+        "scaled_residual": _finite_or_text(r.scaled_residual),
+        "verdict": r.verdict,
+        "detail": r.detail,
+    }
+
+
 @click.group()
 def main() -> None:
     """Size measures, searches, and lattice computations for algebraic
@@ -123,6 +170,8 @@ def analyze(
     try:
         roots = find_roots(p)
         prof = size_profile(roots)
+        # a linear polynomial has no root pairs to separate
+        disc = discriminant(p) if p.degree >= 2 else 1
         bound = m_lower_bound_signature(prof.s, prof.t)
         rel = None
         if ext_sig is not None:
@@ -147,27 +196,38 @@ def analyze(
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         raise click.ClickException(str(exc))
     if fmt == "json":
-        payload = prof.to_json_dict()
-        payload["polynomial"] = p.to_text()
-        payload["signature_lower_bound"] = bound
-        payload["universal_floor"] = UNIVERSAL_M_FLOOR
-        payload["clears_signature_bound"] = prof.m >= bound
+        payload = {
+            "polynomial": p.to_text(),
+            "s": prof.s,
+            "t": prof.t,
+            "R": prof.R,
+            "C": prof.C,
+            "abs_square_size": prof.abs_square_size,
+            "m": prof.m,
+            "norm_abs": prof.norm_abs,
+            "mahler": prof.mahler,
+            "discriminant": disc,
+            "signature_lower_bound": bound,
+            "universal_floor": UNIVERSAL_M_FLOOR,
+            "clears_signature_bound": prof.m >= bound,
+        }
         if rel is not None:
             payload["relative"] = rel
         click.echo(json.dumps(payload, indent=2, sort_keys=True))
         return
     d = precision
     if fmt == "csv":
+        row = f"{p.to_text()},{prof.s},{prof.t},{prof.m:.{d}f},{bound:.{d}f}"
         if rel is None:
             click.echo("polynomial,s,t,m,lower_bound")
-            click.echo(prof.csv_row())
+            click.echo(row)
         else:
             click.echo(
                 "polynomial,s,t,m,lower_bound,ext_s,ext_t,"
                 "relative_square_size,relative_m"
             )
             click.echo(
-                f"{prof.csv_row()},{ext_sig[0]},{ext_sig[1]},"
+                f"{row},{ext_sig[0]},{ext_sig[1]},"
                 f"{rel['relative_square_size']:.{d}f},{rel['relative_m']:.{d}f}"
             )
             click.echo(f"# {LINEAR_DISJOINTNESS_CAVEAT}")
@@ -182,7 +242,7 @@ def analyze(
         f"m               {prof.m:.{d}f}",
         f"mahler          {prof.mahler:.{d}f}",
         f"|norm|          {prof.norm_abs}",
-        f"discriminant    {prof.discriminant}",
+        f"discriminant    {disc}",
         f"signature bound {bound:.{d}f} ({'met' if prof.m >= bound else 'VIOLATED'})",
         f"universal floor {UNIVERSAL_M_FLOOR:.{d}f} ({'met' if prof.m >= UNIVERSAL_M_FLOOR else 'VIOLATED'})",
     ]
@@ -217,9 +277,24 @@ def search(
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         raise click.ClickException(str(exc))
     if fmt == "json":
-        click.echo(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
+        # report.wall_time is diagnostics, kept out to keep the report byte-stable
+        payload = {
+            "degree": report.degree,
+            "groups": [
+                {
+                    "signature": list(g.signature),
+                    "count": g.count,
+                    "lower_bound": g.lower_bound,
+                    "polynomials": _entries_json(g.entries),
+                }
+                for g in report.groups
+            ],
+            "inconclusive": _entries_json(report.inconclusive),
+            "stats": dict(report.stats),
+        }
+        click.echo(json.dumps(payload, indent=2, sort_keys=True))
         return
-    rows = report.csv_rows()
+    rows = _search_rows(report)
     if fmt == "csv":
         click.echo("signature,polynomial,m,lower_bound")
         for row in rows:
@@ -263,7 +338,17 @@ def lattice(polynomial: str, fmt: str, precision: int) -> None:
             "signature": list(lat.signature),
             "determinant": lat.determinant,
             "order_discriminant": str(lat.order_disc),
-            "shortest": sv.to_json_dict(),
+            "shortest": {
+                "squared_length": sv.squared_length,
+                "coordinates": list(sv.coordinates),
+                "element_poly": [str(c) for c in sv.element_poly],
+                "m": sv.m_value,
+                "method": sv.method,
+                "minimizer_degree": sv.minimizer_degree,
+                "minimizer_minpoly": (
+                    sv.minimizer_minpoly.to_text() if sv.minimizer_minpoly else None
+                ),
+            },
             "caveat": ORDER_CAVEAT,
         }
         click.echo(json.dumps(payload, indent=2, sort_keys=True))
@@ -391,7 +476,7 @@ def verify(suite: str, fmt: str) -> None:
         raise click.ClickException(str(exc))
     failed = [r for r in records if r.verdict != "pass"]
     if fmt == "json":
-        click.echo(json.dumps([r.to_json_dict() for r in records], indent=2, sort_keys=True))
+        click.echo(json.dumps([_check_json(r) for r in records], indent=2, sort_keys=True))
     elif fmt == "csv":
         click.echo("check_id,parameters,observed,predicted,residual,scaled_residual,verdict")
         for r in records:

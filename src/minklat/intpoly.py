@@ -464,15 +464,6 @@ def discriminant(p: IntPolynomial) -> int:
 
 # -- polynomial families ------------------------------------------------------
 
-FAMILY_NAMES = (
-    "multinacci",
-    "multinacci-cofactor",
-    "truncated-geom",
-    "even-spread",
-    "root-power",
-)
-
-
 def multinacci(n: int) -> IntPolynomial:
     """x^n - x^(n-1) - ... - x - 1, n >= 2."""
     if n < 2:
@@ -518,23 +509,6 @@ def root_power(n: int) -> IntPolynomial:
     coeffs[2 * n] = 1
     coeffs[3 * n] = 1
     return IntPolynomial(coeffs)
-
-
-_FAMILY_BUILDERS = {
-    "multinacci": multinacci,
-    "multinacci-cofactor": multinacci_cofactor,
-    "truncated-geom": truncated_geom,
-    "even-spread": even_spread,
-    "root-power": root_power,
-}
-
-
-def make_family(kind: str, n: int) -> IntPolynomial:
-    """Construct a named family member; kind is one of FAMILY_NAMES."""
-    key = kind.strip().lower().replace("_", "-")
-    if key not in _FAMILY_BUILDERS:
-        raise ValueError(f"unknown family {kind!r}; expected one of {FAMILY_NAMES}")
-    return _FAMILY_BUILDERS[key](n)
 
 
 # -- irreducibility ------------------------------------------------------------

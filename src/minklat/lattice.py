@@ -54,7 +54,6 @@ class EmbeddedLattice:
     dimension: int
     signature: Tuple[int, int]
     basis_matrix: np.ndarray
-    gram: np.ndarray
     order_disc: Union[int, Fraction]
     # rows express basis elements over the power basis 1, alpha, ..., alpha^(n-1)
     basis_over_power: Tuple[Tuple[Union[int, Fraction], ...], ...]
@@ -74,19 +73,6 @@ class ShortestVectorResult:
     method: str
     minimizer_degree: int
     minimizer_minpoly: Optional[IntPolynomial]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "squared_length": self.squared_length,
-            "coordinates": list(self.coordinates),
-            "element_poly": [str(c) for c in self.element_poly],
-            "m": self.m_value,
-            "method": self.method,
-            "minimizer_degree": self.minimizer_degree,
-            "minimizer_minpoly": (
-                self.minimizer_minpoly.to_text() if self.minimizer_minpoly else None
-            ),
-        }
 
 
 # -- construction ----------------------------------------------------------------
@@ -163,14 +149,11 @@ def build_embedding(
         int(order_disc_q) if order_disc_q.denominator == 1 else order_disc_q
     )
 
-    mat = _embedding_matrix(roots, rows_q)
-    gram = mat @ mat.T
     lat = EmbeddedLattice(
         conjugates=roots,
         dimension=n,
         signature=(s, t),
-        basis_matrix=mat,
-        gram=gram,
+        basis_matrix=_embedding_matrix(roots, rows_q),
         order_disc=order_disc,
         basis_over_power=rows_q,
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .constants import UNIVERSAL_M_FLOOR
-from .intpoly import IntPolynomial, discriminant
+from .intpoly import IntPolynomial
 from .roots import ConjugateSet, InconclusiveError
 
 COMPARISON_GUARD = 1e-9
@@ -39,7 +39,6 @@ class SizeProfile:
     m: float
     norm_abs: int
     mahler: float
-    discriminant: int
 
     @property
     def s(self) -> int:
@@ -52,27 +51,6 @@ class SizeProfile:
     @property
     def degree(self) -> int:
         return self.s + 2 * self.t
-
-    def to_json_dict(self) -> dict:
-        return {
-            "polynomial": list(self.polynomial.coefficients),
-            "s": self.s,
-            "t": self.t,
-            "R": self.R,
-            "C": self.C,
-            "abs_square_size": self.abs_square_size,
-            "m": self.m,
-            "norm_abs": self.norm_abs,
-            "mahler": self.mahler,
-            "discriminant": self.discriminant,
-        }
-
-    def csv_row(self) -> str:
-        bound = m_lower_bound_signature(self.s, self.t)
-        return (
-            f"{self.polynomial.to_text()},{self.s},{self.t},"
-            f"{self.m:.9f},{bound:.9f}"
-        )
 
 
 @dataclass(frozen=True)
@@ -103,8 +81,6 @@ def size_profile(roots: ConjugateSet) -> SizeProfile:
         a = abs(z)
         if a > 1.0:
             mahler *= a
-    # a linear minimal polynomial has no root pairs to separate
-    disc = discriminant(p) if p.degree >= 2 else 1
     return SizeProfile(
         polynomial=p,
         signature=(roots.s, roots.t),
@@ -114,7 +90,6 @@ def size_profile(roots: ConjugateSet) -> SizeProfile:
         m=total / denom,
         norm_abs=abs(p.constant_term),
         mahler=mahler,
-        discriminant=disc,
     )
 
 
@@ -236,5 +211,4 @@ def root_extract_profile(base: ConjugateSet, n: int) -> SizeProfile:
         m=total / (s + t),
         norm_abs=prof.norm_abs,
         mahler=prof.mahler,
-        discriminant=discriminant(lifted_poly),
     )

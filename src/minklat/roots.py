@@ -79,16 +79,6 @@ class ConjugateSet:
             out.append(z.conjugate())
         return out
 
-    def to_json_dict(self) -> dict:
-        return {
-            "polynomial": list(self.polynomial.coefficients),
-            "real_roots": list(self.real_roots),
-            "complex_representatives": [[z.real, z.imag] for z in self.complex_reps],
-            "s": self.s,
-            "t": self.t,
-            "max_residual": self.max_residual,
-        }
-
 
 def _aberth(coeffs: Sequence[int]) -> np.ndarray:
     """All roots of the polynomial by Aberth-Ehrlich iteration.

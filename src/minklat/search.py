@@ -334,16 +334,6 @@ class SearchGroup:
     def count(self) -> int:
         return len(self.entries)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "signature": list(self.signature),
-            "count": self.count,
-            "lower_bound": self.lower_bound,
-            "polynomials": [
-                {"polynomial": p.to_text(), "m": m} for p, m in self.entries
-            ],
-        }
-
 
 @dataclass(frozen=True)
 class SearchReport:
@@ -351,28 +341,10 @@ class SearchReport:
     groups: Tuple[SearchGroup, ...]
     inconclusive: Tuple[Tuple[IntPolynomial, float], ...]
     stats: Dict[str, int]
-    wall_time: float  # diagnostics: left out of to_json_dict to keep reports byte-stable
+    wall_time: float  # diagnostics
 
     def total_count(self) -> int:
         return sum(g.count for g in self.groups)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "groups": [g.to_json_dict() for g in self.groups],
-            "inconclusive": [
-                {"polynomial": p.to_text(), "m": m} for p, m in self.inconclusive
-            ],
-            "stats": dict(self.stats),
-        }
-
-    def csv_rows(self) -> List[Tuple[str, str, str, str]]:
-        rows = []
-        for g in self.groups:
-            sig = f"({g.signature[0]},{g.signature[1]})"
-            for p, m in g.entries:
-                rows.append((sig, p.to_text(), f"{m:.9f}", f"{g.lower_bound:.9f}"))
-        return rows
 
 
 # -- orchestration --------------------------------------------------------------------

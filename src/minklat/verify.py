@@ -92,23 +92,6 @@ class CheckRecord:
     verdict: str
     detail: str = ""
 
-    def to_json_dict(self) -> dict:
-        def clean(x):
-            if isinstance(x, float) and not math.isfinite(x):
-                return str(x)
-            return x
-
-        return {
-            "check_id": self.check_id,
-            "parameters": {k: clean(v) for k, v in self.parameters.items()},
-            "observed": clean(self.observed),
-            "predicted": clean(self.predicted),
-            "residual": clean(self.residual),
-            "scaled_residual": clean(self.scaled_residual),
-            "verdict": self.verdict,
-            "detail": self.detail,
-        }
-
 
 def _verdict(ok: bool) -> str:
     return "pass" if ok else "fail"

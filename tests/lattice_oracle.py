@@ -33,7 +33,7 @@ def brute_force_shortest(
             f"{BRUTE_FORCE_DIMENSION_CAP}"
         )
     n = lat.dimension
-    inv = np.linalg.inv(lat.gram)
+    inv = np.linalg.inv(lat.basis_matrix @ lat.basis_matrix.T)
     bounds = [int(math.floor(math.sqrt(radius_sq * inv[i, i]) + 1e-9)) for i in range(n)]
     grids = [np.arange(-b, b + 1, dtype=np.int64) for b in bounds]
 

@@ -5,6 +5,7 @@ same frozen oracle values the library tests pin, so these tests only exercise
 parsing, formatting, exit codes, and determinism.
 """
 import json
+import math
 
 import click
 import pytest
@@ -16,7 +17,7 @@ from minklat.cli import _parse_polynomial, main
 from minklat.intpoly import IntPolynomial
 from minklat.lattice import ORDER_CAVEAT
 from minklat.measures import LINEAR_DISJOINTNESS_CAVEAT
-from minklat.verify import CheckRecord
+from minklat.verify import CheckRecord, check_prod, check_schur
 
 
 @pytest.fixture()
@@ -39,7 +40,24 @@ def test_analyze_json_shape(runner):
     result = runner.invoke(main, ["analyze", "x^6+x^2-1", "--format", "json"])
     assert result.exit_code == 0
     payload = json.loads(result.output)
+    assert set(payload) == {
+        "polynomial",
+        "s",
+        "t",
+        "R",
+        "C",
+        "abs_square_size",
+        "m",
+        "norm_abs",
+        "mahler",
+        "discriminant",
+        "signature_lower_bound",
+        "universal_floor",
+        "clears_signature_bound",
+    }
     assert payload["polynomial"] == "x^6+x^2-1"
+    assert payload["s"] == 2 and payload["t"] == 2
+    assert payload["norm_abs"] == 1
     assert payload["m"] == pytest.approx(0.946467799117, abs=1e-9)
     assert payload["clears_signature_bound"] is True
     assert payload["discriminant"] == 61504
@@ -51,12 +69,29 @@ def test_analyze_csv(runner):
     lines = result.output.strip().splitlines()
     assert lines[0] == "polynomial,s,t,m,lower_bound"
     assert lines[1] == "x^3+x-1,1,1,0.965571232,0.944940787"
+    sextic = runner.invoke(main, ["analyze", "x^6+x^2-1", "--format", "csv"])
+    assert sextic.output.splitlines()[1] == "x^6+x^2-1,2,2,0.946467799,0.944940787"
+
+
+def test_analyze_discriminant_is_one_at_degree_one(runner):
+    for text, disc in (("x-2", 1), ("x^3+x-1", -31)):
+        as_json = runner.invoke(main, ["analyze", text, "--format", "json"])
+        assert json.loads(as_json.output)["discriminant"] == disc
+        as_text = runner.invoke(main, ["analyze", text])
+        assert f"discriminant    {disc}\n" in as_text.output
 
 
 def test_analyze_precision_flag(runner):
     result = runner.invoke(main, ["analyze", "x^6+x^2-1", "--precision", "3"])
     assert result.exit_code == 0
     assert "m               0.946\n" in result.output
+    # every csv number follows --precision, the extension columns too
+    args = ["analyze", "x^6+x^2-1", "--format", "csv", "--precision", "3"]
+    plain = runner.invoke(main, args)
+    assert plain.output.splitlines()[1] == "x^6+x^2-1,2,2,0.946,0.945"
+    extended = runner.invoke(main, args + ["--extension", "2,0"])
+    row = extended.output.splitlines()[1]
+    assert row == "x^6+x^2-1,2,2,0.946,0.945,2,0,7.572,0.946"
 
 
 def test_analyze_coefficient_list_forms(runner):
@@ -157,6 +192,19 @@ def test_search_csv_degree_3(runner):
     assert len(lines) == 5
 
 
+def test_search_json_degree_3(runner):
+    d = json.loads(runner.invoke(main, ["search", "3", "--format", "json"]).output)
+    assert d["degree"] == 3
+    assert d["groups"][0]["signature"] == [1, 1]
+    assert d["groups"][0]["count"] == 4
+    assert d["groups"][0]["polynomials"][0] == {
+        "polynomial": "x^3-x^2+1",
+        "m": pytest.approx(0.947279124, abs=1e-9),
+    }
+    assert "pruned" not in d  # the walk is the only leaf source
+    assert "wall_time" not in d  # timing stays out of byte-stable reports
+
+
 def test_search_text_degree_4(runner):
     result = runner.invoke(main, ["search", "4"])
     assert result.exit_code == 0
@@ -236,6 +284,15 @@ def test_lattice_csv_keeps_caveat(runner):
     assert lines[0].startswith("polynomial,dimension,")
     assert lines[-1] == f"# {ORDER_CAVEAT}"
     assert lines[1].split(",")[4] == "1.894558248"
+
+
+def test_lattice_json_shortest_shape(runner):
+    result = runner.invoke(main, ["lattice", "x^3-x-1", "--format", "json"])
+    d = json.loads(result.output)["shortest"]
+    assert d["coordinates"] == [1, 0, -1]
+    assert d["method"] == "enumeration"
+    assert d["minimizer_minpoly"] == "x^3-x^2+1"
+    assert isinstance(d["element_poly"], list)
 
 
 def test_lattice_repeated_root_exits_1(runner):
@@ -369,6 +426,30 @@ def test_verify_fast_json(runner):
     assert all(r["verdict"] == "pass" for r in records)
     ids = [r["check_id"] for r in records]
     assert ids == sorted(ids)
+
+
+def test_verify_json_record_shape(runner, monkeypatch):
+    monkeypatch.setattr(cli, "run_suite", lambda suite: [check_prod(10)])
+    (payload,) = json.loads(runner.invoke(main, ["verify", "--format", "json"]).output)
+    assert set(payload) == {
+        "check_id",
+        "parameters",
+        "observed",
+        "predicted",
+        "residual",
+        "scaled_residual",
+        "verdict",
+        "detail",
+    }
+
+
+def test_verify_json_writes_non_finite_floats_as_text(runner, monkeypatch):
+    rec = check_schur([1.0, 1.0, 2.0])
+    assert rec.observed == -math.inf
+    monkeypatch.setattr(cli, "run_suite", lambda suite: [rec])
+    result = runner.invoke(main, ["verify", "--format", "json"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)[0]["observed"] == "-inf"
 
 
 def test_verify_csv_header(runner):

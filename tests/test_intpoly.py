@@ -26,7 +26,6 @@ from minklat.intpoly import (
     even_spread,
     is_irreducible,
     is_irreducible_of_signature,
-    make_family,
     multinacci,
     multinacci_cofactor,
     parse_polynomial,
@@ -268,8 +267,6 @@ def test_family_shapes():
     assert truncated_geom(3) == P("x^3+x^2+x-1")
     assert even_spread(6) == P("x^6+x^4+x^2-1")
     assert root_power(2) == P("x^6+x^4-1")
-    assert make_family("multinacci", 5) == multinacci(5)
-    assert make_family("even_spread", 10) == even_spread(10)
 
 
 def test_family_argument_validation():
@@ -279,8 +276,6 @@ def test_family_argument_validation():
         even_spread(8)  # needs n = 2 mod 4
     with pytest.raises(ValueError):
         root_power(0)
-    with pytest.raises(ValueError):
-        make_family("nonsense", 3)
 
 
 def test_cofactor_identity_all_degrees():

@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from minklat.intpoly import (
     IntPolynomial,
+    even_spread,
     is_irreducible,
-    make_family,
     multinacci,
     parse_polynomial,
     root_power,
@@ -104,10 +104,10 @@ def test_determinant_identity_values(text, det, disc):
 def test_determinant_identity_families():
     # the constructor itself raises on identity failure; sweeping the
     # families through degree 12 exercises it across signatures
-    for fam in ("multinacci", "truncated-geom", "even-spread", "root-power"):
+    for family in (multinacci, truncated_geom, even_spread, root_power):
         for n in range(2, 13):
             try:
-                p = make_family(fam, n)
+                p = family(n)
             except ValueError:
                 continue
             if p.degree > 12:
@@ -116,8 +116,19 @@ def test_determinant_identity_families():
 
 
 def test_gram_matches_basis():
+    # the Gram matrix of psi(a^i) is the form sum r^(i+j) over the real
+    # conjugates r plus Re(z^i conj(z)^j) over one z per complex pair
     lat = lattice_of("x^3+x-1")
-    assert np.allclose(lat.gram, lat.basis_matrix @ lat.basis_matrix.T)
+    roots = lat.conjugates
+    expected = [
+        [
+            sum(r ** (i + j) for r in roots.real_roots)
+            + sum((z**i * z.conjugate() ** j).real for z in roots.complex_reps)
+            for j in range(3)
+        ]
+        for i in range(3)
+    ]
+    assert np.allclose(lat.basis_matrix @ lat.basis_matrix.T, expected)
     assert lat.dimension == 3
     assert lat.signature == (1, 1)
 
@@ -147,7 +158,7 @@ def _reference_embedding(roots, rows):
             "x^5-x^4+x^3-x^2+2x-1",
             "x^6+x^2-1",
             "x^6-2x^4+3x^2-1",
-            make_family("root-power", 8).to_text(),
+            root_power(8).to_text(),
         )
     ]
     + [
@@ -178,7 +189,7 @@ def test_psi_one_row():
     s, t = lat.signature
     expected = [1.0] * s + [1.0, 0.0] * t
     assert np.allclose(lat.basis_matrix[0], expected)
-    assert abs(lat.gram[0, 0] - (s + t)) < 1e-12
+    assert abs((lat.basis_matrix @ lat.basis_matrix.T)[0, 0] - (s + t)) < 1e-12
 
 
 # -- invariants --------------------------------------------------------------------
@@ -243,8 +254,8 @@ LLL_FAMILY_BASES = {
     "multinacci19": multinacci(19).to_text(),
     "multinacci21": multinacci(21).to_text(),
     "multinacci22": multinacci(22).to_text(),
-    "truncated_geom20": make_family("truncated-geom", 20).to_text(),
-    "root_power8": make_family("root-power", 8).to_text(),
+    "truncated_geom20": truncated_geom(20).to_text(),
+    "root_power8": root_power(8).to_text(),
 }
 
 # power bases where the updated Gram-Schmidt data drifts so far that the
@@ -281,7 +292,8 @@ def test_lll_reduces_skewed_basis():
     lat = build_embedding(roots, basis=skew)
     assert lat.order_disc == -23
     reduced, _ = lll_reduce(lat)
-    assert np.max(np.diag(reduced @ reduced.T)) <= np.max(np.diag(lat.gram))
+    gram = lat.basis_matrix @ lat.basis_matrix.T
+    assert np.max(np.diag(reduced @ reduced.T)) <= np.max(np.diag(gram))
     sv = shortest_vector(lat)
     assert abs(sv.squared_length - 1.894558248243) < 1e-9
 
@@ -565,7 +577,7 @@ def test_ill_conditioned_basis_reports_true_length(n):
     # generate the same order; the power basis of multinacci(n) has Gram
     # entries near 4^n, where v^T G v once came out negative at n = 29
     d2 = _min_squared_length(multinacci(n))
-    reference = _min_squared_length(make_family("truncated-geom", n))
+    reference = _min_squared_length(truncated_geom(n))
     assert d2 > 0
     rel_tol = 1e-8 if n == 29 else 1e-9
     assert abs(d2 - reference) <= rel_tol * reference
@@ -658,15 +670,6 @@ def test_dimension_caps():
         brute_force_shortest(lat, 6.0)
     assert ENUMERATION_DIMENSION_CAP == 40
     assert BRUTE_FORCE_DIMENSION_CAP == 8
-
-
-def test_result_json_shape():
-    sv = shortest_vector(lattice_of("x^3-x-1"))
-    d = sv.to_json_dict()
-    assert d["coordinates"] == [1, 0, -1]
-    assert d["method"] == "enumeration"
-    assert d["minimizer_minpoly"] == "x^3-x^2+1"
-    assert isinstance(d["element_poly"], list)
 
 
 def test_element_poly_matches_coordinates():

@@ -1,9 +1,12 @@
 """Size measures, extension formulas, and the closed-form lower bounds."""
+import json
 import math
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from minklat.cli import main
 from minklat.constants import SIGNATURE_BOUND_ARGMIN, UNIVERSAL_M_FLOOR
 from minklat.intpoly import IntPolynomial, is_irreducible, multinacci, parse_polynomial
 from minklat.measures import (
@@ -40,7 +43,6 @@ def test_profile_cubic_one_complex_pair():
     assert abs(prof.C - 1.465571231876768) < 1e-13
     assert abs(prof.m - 0.965571231876768) < 1e-13
     assert prof.norm_abs == 1
-    assert prof.discriminant == -31
 
 
 def test_profile_sextic_minimum():
@@ -153,7 +155,6 @@ def test_criterion_rejects_degenerate_denominator():
         m=0.65,
         norm_abs=1,
         mahler=1.1,
-        discriminant=-31,
     )
     with pytest.raises(ValueError, match="inconsistent profile"):
         mk_lt_one_criterion(fake, ExtensionSignature(2, 0))
@@ -335,11 +336,16 @@ def test_multinacci_profiles_m_above_one():
 
 
 def test_profile_json_and_csv_shape():
-    prof = profile_of("x^6+x^2-1")
-    d = prof.to_json_dict()
+    # The profile's JSON and CSV forms are written by the CLI's analyze command.
+    runner = CliRunner()
+    result = runner.invoke(main, ["analyze", "x^6+x^2-1", "--format", "json"])
+    assert result.exit_code == 0
+    d = json.loads(result.output)
     assert d["s"] == 2 and d["t"] == 2
     assert d["norm_abs"] == 1
-    row = prof.csv_row()
+    result = runner.invoke(main, ["analyze", "x^6+x^2-1", "--format", "csv"])
+    assert result.exit_code == 0
+    row = result.output.splitlines()[1]
     parts = row.split(",")
     assert parts[0] == "x^6+x^2-1"
     assert parts[1] == "2" and parts[2] == "2"

@@ -83,14 +83,6 @@ def test_residual_bound_for_family_members():
         assert cs.s + 2 * cs.t == n
 
 
-def test_conjugate_set_json_shape():
-    d = find_roots(P("x^3-x-1")).to_json_dict()
-    assert d["polynomial"] == [-1, -1, 0, 1]
-    assert d["s"] == 1 and d["t"] == 1
-    assert len(d["complex_representatives"]) == 1
-    assert isinstance(d["real_roots"][0], float)
-
-
 monic_poly = st.lists(
     st.integers(-4, 4), min_size=2, max_size=6
 ).map(lambda tail: IntPolynomial(tail + [1]))

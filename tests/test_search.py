@@ -318,19 +318,33 @@ FLOOR_CASES = [
     (4, None, False),
     pytest.param(6, [0], True, marks=pytest.mark.slow),
 ]
+_FLOOR_CASE_CACHE = {}
+
+
+def _floor_case(n, a1_values, walk):
+    """_prescreen_leaves of one FLOOR_CASES entry and the all-leaf
+    eigen-solve _companion_sums(leaves, inf), computed once for every test
+    of the case (the degree-6 slice takes seconds) and made read-only."""
+    key = (n, None if a1_values is None else tuple(a1_values), walk)
+    if key not in _FLOOR_CASE_CACHE:
+        sts, leaves, admitted = _prescreen_leaves(n, a1_values, walk)
+        solved = _companion_sums(leaves, math.inf)
+        for array in (leaves, admitted, *solved):
+            array.flags.writeable = False
+        _FLOOR_CASE_CACHE[key] = sts, leaves, admitted, solved
+    return _FLOOR_CASE_CACHE[key]
 
 
 @pytest.mark.parametrize("n, a1_values, walk", FLOOR_CASES)
 def test_square_sum_floor_is_below_the_eigenvalue_sum(n, a1_values, walk):
-    _, leaves, _ = _prescreen_leaves(n, a1_values, walk)
-    _, total = _companion_sums(leaves, math.inf)
+    _, leaves, _, (_, total) = _floor_case(n, a1_values, walk)
     assert np.all(_square_sum_floor(leaves) <= total * (1 + 1e-12))
 
 
 @pytest.mark.parametrize("n, a1_values, walk", FLOOR_CASES)
 def test_real_root_floor_is_below_the_real_eigenvalue_sum(n, a1_values, walk):
     # the eigenvalues that come out exactly real, as the prescreen sees them
-    _, leaves, _ = _prescreen_leaves(n, a1_values, walk)
+    _, leaves, _, _ = _floor_case(n, a1_values, walk)
     companion = np.zeros((len(leaves), n, n))
     companion[:, 1:, :-1] = np.eye(n - 1)
     companion[:, 0, :] = -leaves
@@ -359,9 +373,8 @@ def test_real_root_floor_reads_the_largest_sign_change_on_each_side(text, floor)
 
 @pytest.mark.parametrize("n, a1_values, walk", FLOOR_CASES)
 def test_floor_keeps_the_survivors_of_the_all_leaf_eigen_path(n, a1_values, walk):
-    sts, leaves, admitted = _prescreen_leaves(n, a1_values, walk)
+    sts, leaves, admitted, solved = _floor_case(n, a1_values, walk)
     floored = _companion_sums(leaves, sts[0])
-    solved = _companion_sums(leaves, math.inf)
     skipped = np.isinf(floored[1])
     assert skipped.any()
     # the real-root floor skips leaves that the square-sum floor leaves open
@@ -689,20 +702,6 @@ def test_degree2_is_empty():
     r = enumerate_m_lt_one(2)
     assert r.groups == ()
     assert r.total_count() == 0
-
-
-# -- serialization ----------------------------------------------------------------------
-
-def test_report_json_and_csv(search_report_3):
-    d = search_report_3.to_json_dict()
-    assert d["degree"] == 3
-    assert d["groups"][0]["signature"] == [1, 1]
-    assert d["groups"][0]["count"] == 4
-    assert "pruned" not in d  # the walk is the only leaf source
-    assert "wall_time" not in d  # timing stays out of byte-stable reports
-    rows = search_report_3.csv_rows()
-    assert rows[0] == ("(1,1)", "x^3-x^2+1", "0.947279124", "0.944940787")
-    assert len(rows) == 4
 
 
 # -- subelement scans --------------------------------------------------------------------

@@ -262,9 +262,6 @@ def test_spread_product_repeated_point_is_trivially_inside():
     rec = check_schur([1.0, 1.0, 2.0])
     assert rec.observed == -math.inf
     assert rec.verdict == "pass"
-    # non-finite floats must flatten to strings for the JSON surface
-    payload = json.loads(json.dumps(rec.to_json_dict()))
-    assert payload["observed"] == "-inf"
 
 
 def test_spread_product_extreme_scales():
@@ -412,19 +409,3 @@ def test_all_suite_all_pass_and_ordered():
 def test_suite_name_validation():
     with pytest.raises(ValueError):
         run_suite("everything")
-
-
-def test_record_json_shape():
-    rec = check_prod(10)
-    payload = rec.to_json_dict()
-    assert set(payload) == {
-        "check_id",
-        "parameters",
-        "observed",
-        "predicted",
-        "residual",
-        "scaled_residual",
-        "verdict",
-        "detail",
-    }
-    json.dumps(payload)
