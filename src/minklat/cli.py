@@ -6,12 +6,15 @@ shortest vector), family (named constructions with their location checks),
 verify (the check suite).  This module is the one report writer: the library
 returns plain results, and every report's keys, column order and number
 formats are set here.  Reports are assembled in memory and written once, so an
-error path never leaves a partial report behind.
+error path never leaves a partial report behind.  One csv.writer writes every
+csv report, so a field holding a comma or a quote is quoted.
 
 Exit codes: 2 for unusable arguments (click usage errors and polynomial parse
 errors), 1 for computation errors and for any verify verdict that is not a
 pass, 0 otherwise.
 """
+import csv
+import io
 import json
 import math
 import re
@@ -125,6 +128,20 @@ def _search_rows(report: SearchReport) -> List[Tuple[str, str, str, str]]:
     return rows
 
 
+def _csv_report(
+    header: str, rows: Sequence[Sequence[object]], caveat: Optional[str] = None
+) -> None:
+    """Write the comma-separated header and the rows as csv, then the caveat
+    as a # comment line."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header.split(","))
+    writer.writerows(rows)
+    if caveat is not None:
+        out.write(f"# {caveat}\n")
+    click.echo(out.getvalue(), nl=False)
+
+
 def _finite_or_text(x: object) -> object:
     """JSON has no inf or nan, so a non-finite float is written as its text."""
     if isinstance(x, float) and not math.isfinite(x):
@@ -217,20 +234,15 @@ def analyze(
         return
     d = precision
     if fmt == "csv":
-        row = f"{p.to_text()},{prof.s},{prof.t},{prof.m:.{d}f},{bound:.{d}f}"
+        header = "polynomial,s,t,m,lower_bound"
+        row = [p.to_text(), prof.s, prof.t, f"{prof.m:.{d}f}", f"{bound:.{d}f}"]
         if rel is None:
-            click.echo("polynomial,s,t,m,lower_bound")
-            click.echo(row)
+            _csv_report(header, [row])
         else:
-            click.echo(
-                "polynomial,s,t,m,lower_bound,ext_s,ext_t,"
-                "relative_square_size,relative_m"
-            )
-            click.echo(
-                f"{row},{ext_sig[0]},{ext_sig[1]},"
-                f"{rel['relative_square_size']:.{d}f},{rel['relative_m']:.{d}f}"
-            )
-            click.echo(f"# {LINEAR_DISJOINTNESS_CAVEAT}")
+            header += ",ext_s,ext_t,relative_square_size,relative_m"
+            sizes = (rel["relative_square_size"], rel["relative_m"])
+            row += [*ext_sig, *(f"{x:.{d}f}" for x in sizes)]
+            _csv_report(header, [row], LINEAR_DISJOINTNESS_CAVEAT)
         return
     lines = [
         f"polynomial      {p.to_text()}",
@@ -296,9 +308,7 @@ def search(
         return
     rows = _search_rows(report)
     if fmt == "csv":
-        click.echo("signature,polynomial,m,lower_bound")
-        for row in rows:
-            click.echo(",".join(row))
+        _csv_report("signature,polynomial,m,lower_bound", rows)
         return
     lines = [f"degree {degree}: {report.total_count()} polynomials with m < 1"]
     for group in report.groups:
@@ -355,14 +365,15 @@ def lattice(polynomial: str, fmt: str, precision: int) -> None:
         return
     d = precision
     if fmt == "csv":
-        click.echo("polynomial,dimension,s,t,d_squared,m,coordinates,minimizer_minpoly")
         coords = " ".join(str(c) for c in sv.coordinates)
         minpoly = sv.minimizer_minpoly.to_text() if sv.minimizer_minpoly else ""
-        click.echo(
-            f"{p.to_text()},{lat.dimension},{lat.signature[0]},{lat.signature[1]},"
-            f"{sv.squared_length:.{d}f},{sv.m_value:.{d}f},{coords},{minpoly}"
+        numbers = [f"{x:.{d}f}" for x in (sv.squared_length, sv.m_value)]
+        row = [p.to_text(), lat.dimension, *lat.signature, *numbers, coords, minpoly]
+        _csv_report(
+            "polynomial,dimension,s,t,d_squared,m,coordinates,minimizer_minpoly",
+            [row],
+            ORDER_CAVEAT,
         )
-        click.echo(f"# {ORDER_CAVEAT}")
         return
     lines = [
         f"polynomial      {p.to_text()}",
@@ -447,10 +458,9 @@ def family(kind: str, n: int, fmt: str, precision: int) -> None:
         click.echo(json.dumps(payload, indent=2, sort_keys=True))
         return
     if fmt == "csv":
-        click.echo("kind,n,polynomial," + ",".join(checks))
-        click.echo(
-            f"{kind},{n},{p.to_text()},"
-            + ",".join(str(v) for v in checks.values())
+        _csv_report(
+            "kind,n,polynomial," + ",".join(checks),
+            [[kind, n, p.to_text(), *checks.values()]],
         )
         return
     lines = [f"kind        {kind}", f"n           {n}", f"polynomial  {p.to_text()}"]
@@ -478,13 +488,16 @@ def verify(suite: str, fmt: str) -> None:
     if fmt == "json":
         click.echo(json.dumps([_check_json(r) for r in records], indent=2, sort_keys=True))
     elif fmt == "csv":
-        click.echo("check_id,parameters,observed,predicted,residual,scaled_residual,verdict")
-        for r in records:
-            params = json.dumps(r.parameters, sort_keys=True, default=str)
-            click.echo(
-                f'{r.check_id},"{params}",{r.observed!r},{r.predicted!r},'
-                f"{r.residual!r},{r.scaled_residual!r},{r.verdict}"
-            )
+        rows = [
+            [r.check_id, json.dumps(r.parameters, sort_keys=True, default=str)]
+            + [repr(x) for x in (r.observed, r.predicted, r.residual, r.scaled_residual)]
+            + [r.verdict]
+            for r in records
+        ]
+        _csv_report(
+            "check_id,parameters,observed,predicted,residual,scaled_residual,verdict",
+            rows,
+        )
     else:
         lines: List[str] = []
         for r in records:

@@ -1,11 +1,9 @@
-"""Canonical embedding of an order into R^n and shortest-vector search.
+"""Canonical embedding of Z[alpha] into R^n and shortest-vector search.
 
-Rows of the basis matrix are psi(b_i) with coordinates: the s real conjugates,
-then (Re, Im) per complex pair with no sqrt(2) weighting, which is what makes
-|det| = 2^(-t) * sqrt(|disc|) and the squared length of psi(1) equal to s+t.
-
-The embedding computes each conjugate's powers once and sums each row over
-its nonzero coefficients only, so Z[alpha]'s identity rows cost O(n^2) in all.
+Row k of the basis matrix is psi(alpha^k) with coordinates: the s real
+conjugates, then (Re, Im) per complex pair with no sqrt(2) weighting, which is
+what makes |det| = 2^(-t) * sqrt(|disc|) and the squared length of psi(1)
+equal to s+t. The rows cost O(n^2) in all: one power per conjugate and entry.
 
 LLL is floating-point. The rows are a Python list of arrays; the
 Gram-Schmidt data is computed from them once, each row by two matrix-vector
@@ -27,8 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,22 +38,20 @@ DET_IDENTITY_RTOL = 1e-8
 LLL_DELTA = 0.99
 
 ORDER_CAVEAT = (
-    "shortest vector and m are computed over the supplied order (default "
-    "Z[alpha]), an upper bound for the maximal order's m"
+    "shortest vector and m are computed over Z[alpha], an upper bound for "
+    "the maximal order's m"
 )
 
 
 @dataclass(frozen=True, eq=False)
 class EmbeddedLattice:
-    """Full-rank lattice from the canonical embedding of an order basis."""
+    """Full-rank lattice from the canonical embedding of Z[alpha]'s power basis."""
 
     conjugates: ConjugateSet
     dimension: int
     signature: Tuple[int, int]
     basis_matrix: np.ndarray
-    order_disc: Union[int, Fraction]
-    # rows express basis elements over the power basis 1, alpha, ..., alpha^(n-1)
-    basis_over_power: Tuple[Tuple[Union[int, Fraction], ...], ...]
+    order_disc: int
 
     @property
     def determinant(self) -> float:
@@ -68,7 +63,8 @@ class EmbeddedLattice:
 class ShortestVectorResult:
     squared_length: float
     coordinates: Tuple[int, ...]
-    element_poly: Tuple[Union[int, Fraction], ...]
+    # the minimizer over the power basis: always equal to coordinates
+    element_poly: Tuple[int, ...]
     m_value: float
     method: str
     minimizer_degree: int
@@ -77,87 +73,38 @@ class ShortestVectorResult:
 
 # -- construction ----------------------------------------------------------------
 
-def _embedding_matrix(roots: ConjugateSet, rows: Sequence[Sequence[Fraction]]) -> np.ndarray:
-    """psi of each element given by power-basis coefficients, one row each;
-    the powers of each conjugate are computed once for all rows, and each
-    row sums over its nonzero coefficients only, so the identity rows of
-    Z[alpha] cost O(n) each. A zero term could change only the sign of an
-    exact zero, and a sum from int 0 never holds -0.0, so every float is the
-    one the full per-element sum gives."""
-    n = roots.degree
-    real_powers = [[r ** k for k in range(n)] for r in roots.real_roots]
-    complex_powers = [[z ** k for k in range(n)] for z in roots.complex_reps]
-    out = []
-    for coeffs in rows:
-        terms = [(k, float(c)) for k, c in enumerate(coeffs) if c]
-        row = [float(sum(c * pw[k] for k, c in terms)) for pw in real_powers]
-        for pw in complex_powers:
-            val = sum(complex(c) * pw[k] for k, c in terms)
-            row += (val.real, val.imag)
-        out.append(row)
-    return np.array(out)
+def _embedding_matrix(roots: ConjugateSet) -> np.ndarray:
+    """psi(alpha^k) for k = 0..n-1, one row each. Adding 0.0 turns -0.0 into
+    0.0 and leaves every other float alone, so each entry is the float that
+    summing the element's one term from 0 gives."""
+    rows = []
+    for k in range(roots.degree):
+        row = [r ** k + 0.0 for r in roots.real_roots]
+        for z in roots.complex_reps:
+            w = z ** k
+            row += (w.real + 0.0, w.imag + 0.0)
+        rows.append(row)
+    return np.array(rows)
 
 
-def _exact_det(rows: Sequence[Sequence[Union[int, Fraction]]]) -> Fraction:
-    """Exact determinant of int or Fraction rows: fraction-free (Bareiss)
-    elimination on the rows times the lcm d of their denominators, over d^n."""
-    n = len(rows)
-    d = math.lcm(*(x.denominator for row in rows for x in row))
-    a = [[x.numerator * (d // x.denominator) for x in row] for row in rows]
-    sign, prev = 1, 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            sign = -sign
-        p = a[col][col]
-        for r in range(col + 1, n):
-            for c in range(col + 1, n):
-                a[r][c] = (a[r][c] * p - a[r][col] * a[col][c]) // prev
-        prev = p
-    return Fraction(sign * prev, d ** n)
-
-
-def build_embedding(
-    roots: ConjugateSet,
-    basis: Optional[Sequence[Sequence[Union[int, Fraction]]]] = None,
-) -> EmbeddedLattice:
-    """Embedded lattice of the order spanned by the basis (default Z[alpha]).
+def build_embedding(roots: ConjugateSet) -> EmbeddedLattice:
+    """Embedded lattice of Z[alpha].
 
     The determinant identity |det| = 2^(-t) sqrt(|disc|) is checked against
-    the exact discriminant (scaled through the change of basis) and failure
-    is an error, not a warning.
+    the exact discriminant of the polynomial, and failure is an error, not a
+    warning.
     """
     n = roots.degree
     s, t = roots.s, roots.t
-    if basis is None:
-        rows_q = tuple(tuple(int(j == i) for j in range(n)) for i in range(n))
-        change_det = 1
-    else:
-        if len(basis) != n or any(len(row) != n for row in basis):
-            raise ValueError(f"basis must be {n}x{n}")
-        rows_q = tuple(tuple(Fraction(x) for x in row) for row in basis)
-        change_det = _exact_det(rows_q)
-        if change_det == 0:
-            raise ValueError("singular basis")
-
-    poly_disc = 1 if n == 1 else discriminant(roots.polynomial)
-    order_disc_q = Fraction(poly_disc) * change_det * change_det
-    order_disc = (
-        int(order_disc_q) if order_disc_q.denominator == 1 else order_disc_q
-    )
-
+    order_disc = 1 if n == 1 else discriminant(roots.polynomial)
     lat = EmbeddedLattice(
         conjugates=roots,
         dimension=n,
         signature=(s, t),
-        basis_matrix=_embedding_matrix(roots, rows_q),
+        basis_matrix=_embedding_matrix(roots),
         order_disc=order_disc,
-        basis_over_power=rows_q,
     )
-    expected = 2.0 ** (-t) * math.sqrt(abs(float(order_disc_q)))
+    expected = 2.0 ** (-t) * math.sqrt(abs(order_disc))
     if not math.isclose(lat.determinant, expected, rel_tol=DET_IDENTITY_RTOL):
         raise ArithmeticError("embedding inconsistent")
     return lat
@@ -243,10 +190,9 @@ def _lll(basis: np.ndarray):
 
 
 def _combine_rows(
-    coeffs: Sequence[int], rows: Sequence[Sequence[Union[int, Fraction]]]
-) -> Tuple[Union[int, Fraction], ...]:
-    """sum_i coeffs[i] * rows[i], exactly: int rows give ints, Fraction rows
-    give Fractions (coeffs must not be all zero)."""
+    coeffs: Sequence[int], rows: Sequence[Sequence[int]]
+) -> Tuple[int, ...]:
+    """sum_i coeffs[i] * rows[i], exactly (coeffs must not be all zero)."""
     acc = [0] * len(rows[0])
     for coef, row in zip(coeffs, rows):
         if coef:
@@ -274,15 +220,12 @@ def lll_reduce(
 # -- minimizer bookkeeping ----------------------------------------------------------
 
 def _minimal_polynomial(
-    power_coords: Sequence[Union[int, Fraction]], p: IntPolynomial
+    gamma: Sequence[int], p: IntPolynomial
 ) -> Tuple[int, Optional[IntPolynomial]]:
     """Exact degree over Q and primitive minimal polynomial of the element
-    given by power-basis coordinates in Q[x]/(p). Fraction-free: gamma =
-    d * beta (d the lcm of the denominators) has integer powers mod monic p,
-    and a dependency sum c_j gamma^j = 0 maps back to coefficients c_j d^j."""
+    of Z[x]/(p) with power-basis coordinates gamma; p is monic, so the powers
+    of gamma have integer coordinates."""
     n = p.degree
-    d = math.lcm(*(c.denominator for c in power_coords))
-    gamma = [int(c * d) for c in power_coords]
     # echelon rows (pivot, gamma^k augmented by its combination of gamma
     # powers); elimination cross-multiplies by the pivots, divides by the gcd
     echelon: List[Tuple[int, List[int]]] = []
@@ -301,7 +244,7 @@ def _minimal_polynomial(
         if pivot is None:
             # row[n + k] != 0: no echelon row involves gamma^k
             combo = row[n : n + k + 1]
-            return k, IntPolynomial([c * d**j for j, c in enumerate(combo)]).normalized()
+            return k, IntPolynomial(combo).normalized()
         echelon.append((pivot, row))
         # power * gamma mod p, with x^m = -(lower coefficients of p) for m >= n
         power = _poly_mul(power, gamma)
@@ -354,13 +297,11 @@ def _result_from_coords(
     lat: EmbeddedLattice, coords: Tuple[int, ...], sq_len: float, method: str
 ) -> ShortestVectorResult:
     s, t = lat.signature
-    power = _combine_rows(coords, lat.basis_over_power)
-    degree, minpoly = _minimal_polynomial(power, lat.conjugates.polynomial)
-    element = tuple(int(c) if c.denominator == 1 else c for c in power)
+    degree, minpoly = _minimal_polynomial(coords, lat.conjugates.polynomial)
     return ShortestVectorResult(
         squared_length=sq_len,
         coordinates=coords,
-        element_poly=element,
+        element_poly=coords,
         m_value=sq_len / (s + t),
         method=method,
         minimizer_degree=degree,
@@ -416,10 +357,10 @@ def _descend(
 
 
 def shortest_vector(lat: EmbeddedLattice) -> ShortestVectorResult:
-    """Global minimizer of the order's lattice, by exact-radius enumeration.
+    """Global minimizer of Z[alpha]'s lattice, by exact-radius enumeration.
 
-    psi(1) always has squared length s+t, so the search radius (s+t) plus a
-    small slack is guaranteed nonempty for any order containing 1.
+    psi(1) has squared length s+t, so the search radius (s+t) plus a small
+    slack always holds a nonzero vector.
     """
     if lat.dimension > ENUMERATION_DIMENSION_CAP:
         raise ValueError(
@@ -431,10 +372,8 @@ def shortest_vector(lat: EmbeddedLattice) -> ShortestVectorResult:
     reduced, transform = lll_reduce(lat)
     # the reduced Gram is built once, here, and factored once, in _fincke_pohst
     raw = _fincke_pohst(reduced @ reduced.T, radius_sq)
-    if not raw:
-        raise RuntimeError("radius search empty")
-    # map back to the caller's basis before the tie-break so the canonical
-    # choice is over original coordinates
+    # map back to the power basis before the tie-break so the canonical
+    # choice is over its coordinates; an empty list raises in _pick_minimizer
     mapped = [_combine_rows(v, transform) for v in raw]
     coords, sq_len = _pick_minimizer(lat.basis_matrix, mapped)
     result = _result_from_coords(lat, coords, sq_len, "enumeration")

@@ -158,11 +158,6 @@ def m_lower_bound_signature(s: int, t: int) -> float:
     return (s * 2.0 ** (-2.0 * t / n) + t * 2.0 ** (s / n)) / (s + t)
 
 
-def universal_m_floor() -> float:
-    """(e log 2)/2: every nonzero algebraic integer has m above this."""
-    return UNIVERSAL_M_FLOOR
-
-
 def unit_necessity_gate(n: int, norm_abs: int) -> bool:
     """True when no element of degree n with this norm can reach m < 1,
     i.e. floor * |Nm|^(2/n) >= 1.  At n <= 23 this holds for every norm >= 2,

@@ -1,12 +1,15 @@
-"""Exhaustive integer-box shortest-vector oracle for small lattices.
+"""Oracles for the lattice tests.
 
-A test helper: it shares no step with LLL or the Fincke-Pohst recursion,
-so the enumerator's minima can be checked against it up to dimension
-BRUTE_FORCE_DIMENSION_CAP.
+An exhaustive integer-box shortest-vector search for small lattices: it
+shares no step with LLL or the Fincke-Pohst recursion, so the enumerator's
+minima can be checked against it up to dimension BRUTE_FORCE_DIMENSION_CAP.
+An exact determinant of integer or rational rows, which checks that LLL's
+transform is unimodular.
 """
 import itertools
 import math
-from typing import List, Tuple
+from fractions import Fraction
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -79,3 +82,25 @@ def brute_force_shortest(
         raise RuntimeError("radius search empty")
     coords, sq_len = _pick_minimizer(lat.basis_matrix, best_list)
     return _result_from_coords(lat, coords, sq_len, "brute_force")
+
+
+def exact_det(rows: Sequence[Sequence[Union[int, Fraction]]]) -> Fraction:
+    """Exact determinant of int or Fraction rows: fraction-free (Bareiss)
+    elimination on the rows times the lcm d of their denominators, over d^n."""
+    n = len(rows)
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    a = [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+    sign, prev = 1, 1
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            sign = -sign
+        p = a[col][col]
+        for r in range(col + 1, n):
+            for c in range(col + 1, n):
+                a[r][c] = (a[r][c] * p - a[r][col] * a[col][c]) // prev
+        prev = p
+    return Fraction(sign * prev, d ** n)

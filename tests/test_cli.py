@@ -4,6 +4,7 @@ Every invocation goes through click's test runner; expected numbers are the
 same frozen oracle values the library tests pin, so these tests only exercise
 parsing, formatting, exit codes, and determinism.
 """
+import csv
 import json
 import math
 
@@ -17,7 +18,7 @@ from minklat.cli import _parse_polynomial, main
 from minklat.intpoly import IntPolynomial
 from minklat.lattice import ORDER_CAVEAT
 from minklat.measures import LINEAR_DISJOINTNESS_CAVEAT
-from minklat.verify import CheckRecord, check_prod, check_schur
+from minklat.verify import CheckRecord, check_prod, check_schur, run_suite
 
 
 @pytest.fixture()
@@ -188,7 +189,7 @@ def test_search_csv_degree_3(runner):
     assert result.exit_code == 0
     lines = result.output.strip().splitlines()
     assert lines[0] == "signature,polynomial,m,lower_bound"
-    assert lines[1] == "(1,1),x^3-x^2+1,0.947279124,0.944940787"
+    assert lines[1] == '"(1,1)",x^3-x^2+1,0.947279124,0.944940787'
     assert len(lines) == 5
 
 
@@ -370,11 +371,12 @@ EVEN_SPREAD_REPORTS = {
 def test_family_even_spread_reports(runner, n):
     poly, *values = EVEN_SPREAD_REPORTS[n]
     keys = ["signature", "square_size", "m", "irreducibility"]
-    csv = runner.invoke(main, ["family", "even-spread", str(n), "--format", "csv"])
-    assert csv.exit_code == 0
-    assert csv.output.splitlines() == [
+    as_csv = runner.invoke(main, ["family", "even-spread", str(n), "--format", "csv"])
+    assert as_csv.exit_code == 0
+    signature, *numbers = values
+    assert as_csv.output.splitlines() == [
         "kind,n,polynomial," + ",".join(keys),
-        ",".join(["even-spread", str(n), poly] + values),
+        ",".join(["even-spread", str(n), poly, f'"{signature}"'] + numbers),
     ]
     text = runner.invoke(main, ["family", "even-spread", str(n)])
     assert text.exit_code == 0
@@ -459,6 +461,40 @@ def test_verify_csv_header(runner):
     assert header == (
         "check_id,parameters,observed,predicted,residual,scaled_residual,verdict"
     )
+
+
+def _csv_rows(output):
+    return list(csv.reader(line for line in output.splitlines() if not line.startswith("#")))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["search", "3"],
+        ["family", "truncated-geom", "5"],
+        ["family", "even-spread", "6"],
+        ["verify", "--suite", "fast"],
+    ],
+    ids=" ".join,
+)
+def test_csv_rows_have_the_header_width(runner, args):
+    # a signature "(s,t)" or a parameters object holds commas and quotes,
+    # which must be quoted for a csv reader to keep them in one field
+    result = runner.invoke(main, [*args, "--format", "csv"])
+    assert result.exit_code == 0
+    header, *rows = _csv_rows(result.output)
+    assert rows
+    assert all(len(row) == len(header) for row in rows)
+
+
+def test_verify_csv_parameters_read_back_as_json(runner, monkeypatch):
+    records = run_suite("fast")
+    monkeypatch.setattr(cli, "run_suite", lambda suite: records)
+    result = runner.invoke(main, ["verify", "--format", "csv"])
+    assert result.exit_code == 0
+    header, *rows = _csv_rows(result.output)
+    column = header.index("parameters")
+    assert [json.loads(row[column]) for row in rows] == [r.parameters for r in records]
 
 
 def test_verify_exits_1_when_a_check_does_not_pass(runner, monkeypatch):

@@ -1,7 +1,7 @@
 """Embedding construction, determinant identity, LLL, and shortest vectors.
 
 Reference minima were computed by an independent exhaustive integer-box
-search over each order's Gram matrix before this module existed; they are
+search over each lattice's Gram matrix before this module existed; they are
 frozen here and the enumerator must reproduce them bit-for-bit in the
 coordinates and to 1e-9 in the lengths.
 """
@@ -31,14 +31,14 @@ from minklat.lattice import (
     lll_reduce,
     shortest_vector,
     _combine_rows,
-    _exact_det,
     _fincke_pohst,
     _lll,
     _minimal_polynomial,
+    _pick_minimizer,
 )
 from minklat.measures import m_lower_bound_signature
 from minklat.roots import find_roots
-from lattice_oracle import BRUTE_FORCE_DIMENSION_CAP, brute_force_shortest
+from lattice_oracle import BRUTE_FORCE_DIMENSION_CAP, brute_force_shortest, exact_det
 from test_search import DEG3_TABLE, DEG4_TABLE, DEG5_TABLE, DEG6_TABLE
 
 
@@ -148,38 +148,46 @@ def _reference_embedding(roots, rows):
     return np.vstack(out)
 
 
+# a deliberately skewed basis of Z[alpha] for x^3-x-1, over the power basis
+SKEWED_CUBIC = [[1, 0, 0], [7, 1, 0], [23, 9, 1]]
+
+
+def _embedded_basis(roots, basis):
+    """Z[alpha]'s embedded power basis, or, given another basis over the
+    power basis, its rows embedded one element at a time."""
+    if basis is None:
+        return build_embedding(roots).basis_matrix
+    return _reference_embedding(roots, basis)
+
+
 @pytest.mark.parametrize(
-    "text,basis",
+    "text",
     [
-        (text, None)
-        for text in (
-            "x^3-x^2+1",
-            "x^4+x^2-1",
-            "x^5-x^4+x^3-x^2+2x-1",
-            "x^6+x^2-1",
-            "x^6-2x^4+3x^2-1",
-            root_power(8).to_text(),
-        )
-    ]
-    + [
-        ("x^3-x-1", [[1, 0, 0], [7, 1, 0], [23, 9, 1]]),
-        ("x^2-x-1", [[1, 0], [0, Fraction(1, 2)]]),
-        # a non-unit row with a zero entry: its zero term is skipped
-        ("x^3-x-1", [[1, 0, 0], [0, 1, 0], [5, 0, 1]]),
-        # dense powers of degree 22 meet the identity rows of Z[alpha]
-        pytest.param(multinacci(22).to_text(), None, id="multinacci22"),
-        pytest.param(truncated_geom(22).to_text(), None, id="truncated_geom22"),
+        "x^3-x^2+1",
+        "x^4+x^2-1",
+        "x^5-x^4+x^3-x^2+2x-1",
+        "x^6+x^2-1",
+        "x^6-2x^4+3x^2-1",
+        # root_power(8): purely imaginary conjugates put signed zeros in the
+        # embedding
+        "x^24+x^16-1",
+        # Dedekind's cubic: Z[alpha] has index 2 in the maximal order
+        "x^3-x^2-2x-8",
+        # dense powers of degree 22
+        pytest.param(multinacci(22).to_text(), id="multinacci22"),
+        pytest.param(truncated_geom(22).to_text(), id="truncated_geom22"),
     ],
+    # ids in the form the suite has printed for these cases, so test names
+    # stay comparable across versions
+    ids=lambda text: f"{text}-None",
 )
-def test_embedding_bit_identical_to_per_element_sum(text, basis):
-    # the matrix is built with each conjugate's powers computed once and each
-    # row summed over its nonzero coefficients only; every entry must still be
-    # the same float as embedding one element alone over all its terms
+def test_embedding_bit_identical_to_per_element_sum(text):
+    # each row is the power table plus 0.0; every entry must still be the
+    # same float, signed zeros included, as embedding the element alone by
+    # summing all its terms from 0
     roots = find_roots(parse_polynomial(text))
-    lat = build_embedding(roots, basis=basis)
-    n = roots.degree
-    rows = basis if basis is not None else np.eye(n, dtype=int).tolist()
-    expected = _reference_embedding(roots, [[Fraction(x) for x in row] for row in rows])
+    lat = build_embedding(roots)
+    expected = _reference_embedding(roots, np.eye(roots.degree, dtype=int).tolist())
     assert lat.basis_matrix.tobytes() == expected.tobytes()
 
 
@@ -278,47 +286,40 @@ def test_lll_preserves_lattice(text):
     reduced, transform = lll_reduce(lat)
     _, logdet = np.linalg.slogdet(reduced)
     assert math.isclose(math.exp(logdet), lat.determinant, rel_tol=1e-9)
-    u = [[Fraction(x) for x in row] for row in transform]
-    assert abs(_exact_det(u)) == 1
+    assert abs(exact_det(transform)) == 1
     recon = np.array([[float(x) for x in row] for row in transform])
     assert np.allclose(recon @ lat.basis_matrix, reduced, atol=1e-9)
 
 
 def test_lll_reduces_skewed_basis():
-    # a deliberately skewed integral basis of Z[alpha] must come back short
-    p = parse_polynomial("x^3-x-1")
-    roots = find_roots(p)
-    skew = [[1, 0, 0], [7, 1, 0], [23, 9, 1]]
-    lat = build_embedding(roots, basis=skew)
-    assert lat.order_disc == -23
-    reduced, _ = lll_reduce(lat)
-    gram = lat.basis_matrix @ lat.basis_matrix.T
+    # a deliberately skewed basis of Z[alpha] must come back short
+    roots = find_roots(parse_polynomial("x^3-x-1"))
+    basis = _reference_embedding(roots, SKEWED_CUBIC)
+    assert math.isclose(abs(np.linalg.det(basis)), math.sqrt(23) / 2, rel_tol=1e-10)
+    reduced, _ = _lll(basis)
+    gram = basis @ basis.T
     assert np.max(np.diag(reduced @ reduced.T)) <= np.max(np.diag(gram))
-    sv = shortest_vector(lat)
-    assert abs(sv.squared_length - 1.894558248243) < 1e-9
+    found = _fincke_pohst(reduced @ reduced.T, roots.s + roots.t + RADIUS_SLACK)
+    _, sq_len = _pick_minimizer(reduced, found)
+    assert abs(sq_len - 1.894558248243) < 1e-9
 
 
 @pytest.mark.parametrize(
     "text,basis",
     [pytest.param(text, None, id=name) for name, text in LLL_FAMILY_BASES.items()]
     + [pytest.param(text, None, id=name) for name, text in LLL_DRIFT_BASES.items()]
-    + [
-        pytest.param(
-            "x^3-x-1", [[1, 0, 0], [7, 1, 0], [23, 9, 1]], id="skewed_cubic"
-        )
-    ],
+    + [pytest.param("x^3-x-1", SKEWED_CUBIC, id="skewed_cubic")],
 )
 def test_lll_conditions_hold(text, basis):
     # Gram-Schmidt of the reduced rows from Householder QR, independent of
     # the one inside LLL: with b^T = QR, mu[i, j] = R[j, i] / R[j, j] and
     # |b*_j|^2 = R[j, j]^2
-    lat = build_embedding(find_roots(parse_polynomial(text)), basis=basis)
-    b, _ = lll_reduce(lat)
+    b, _ = _lll(_embedded_basis(find_roots(parse_polynomial(text)), basis))
     r = np.linalg.qr(b.T, mode="r")
     diag = np.diag(r)
     mu = (r / diag[:, None]).T
     norms = diag**2
-    n = lat.dimension
+    n = b.shape[0]
     for i in range(n):
         for j in range(i):
             assert abs(mu[i, j]) <= 0.5 + 1e-6
@@ -391,11 +392,7 @@ LLL_BYTE_IDENTITY_BASES = {
         pytest.param(text, None, id=name)
         for name, text in LLL_BYTE_IDENTITY_BASES.items()
     ]
-    + [
-        pytest.param(
-            "x^3-x-1", [[1, 0, 0], [7, 1, 0], [23, 9, 1]], id="skewed_cubic"
-        )
-    ],
+    + [pytest.param("x^3-x-1", SKEWED_CUBIC, id="skewed_cubic")],
 )
 def test_lll_bit_identical_to_numpy_form(text, basis):
     # _lll updates mu and B at each swap instead of recomputing Gram-Schmidt
@@ -403,9 +400,9 @@ def test_lll_bit_identical_to_numpy_form(text, basis):
     # bases every rounding and every Lovasz decision is the same, so the
     # reduced rows (each row step is the same IEEE operation) and the
     # transform must be the same bytes as the recomputing reference's
-    lat = build_embedding(find_roots(parse_polynomial(text)), basis=basis)
-    reduced, transform = _lll(lat.basis_matrix)
-    expected, expected_transform = _numpy_lll(lat.basis_matrix)
+    embedded = _embedded_basis(find_roots(parse_polynomial(text)), basis)
+    reduced, transform = _lll(embedded)
+    expected, expected_transform = _numpy_lll(embedded)
     assert reduced.tobytes() == expected.tobytes()
     assert transform == expected_transform
 
@@ -444,9 +441,9 @@ def _box_candidates(basis, radius_sq):
 def test_fincke_pohst_matches_box_enumeration(text, basis, scale):
     # the candidates within scale * (s+t) of the LLL-reduced lattice, each
     # once, are exactly the box's
-    lat = build_embedding(find_roots(parse_polynomial(text)), basis=basis)
-    reduced, _ = lll_reduce(lat)
-    radius_sq = scale * sum(lat.signature) + RADIUS_SLACK
+    roots = find_roots(parse_polynomial(text))
+    reduced, _ = _lll(_embedded_basis(roots, basis))
+    radius_sq = scale * (roots.s + roots.t) + RADIUS_SLACK
     found = _fincke_pohst(reduced @ reduced.T, radius_sq)
     assert len(found) == len(set(found))
     assert set(found) == _box_candidates(reduced, radius_sq)
@@ -583,27 +580,7 @@ def test_ill_conditioned_basis_reports_true_length(n):
     assert abs(d2 - reference) <= rel_tol * reference
 
 
-# -- supplied bases ------------------------------------------------------------------
-
-def test_scaled_basis_scales_disc():
-    lat = build_embedding(
-        find_roots(parse_polynomial("x^2-x-1")), basis=[[2, 0], [0, 2]]
-    )
-    assert lat.order_disc == 80
-    assert math.isclose(lat.determinant, 4 * math.sqrt(5), rel_tol=1e-10)
-
-
-def test_rational_basis_fraction_disc():
-    lat = build_embedding(
-        find_roots(parse_polynomial("x^2-x-1")),
-        basis=[[1, 0], [0, Fraction(1, 2)]],
-    )
-    assert lat.order_disc == Fraction(5, 4)
-    sv = shortest_vector(lat)
-    assert abs(sv.squared_length - 0.75) < 1e-9
-    assert sv.element_poly == (0, Fraction(1, 2))
-    assert sv.minimizer_degree == 2
-
+# -- exact determinant oracle ---------------------------------------------------------
 
 def _leibniz_det(rows):
     """sum over permutations of sign * product, in Fraction: an oracle that
@@ -643,25 +620,7 @@ def det_matrices(draw):
 @settings(max_examples=300)
 @given(det_matrices())
 def test_exact_det_matches_leibniz(rows):
-    assert _exact_det(rows) == _leibniz_det(rows)
-
-
-def test_singular_basis_rejected():
-    roots = find_roots(parse_polynomial("x^2-x-1"))
-    with pytest.raises(ValueError, match="singular"):
-        build_embedding(roots, basis=[[1, 0], [2, 0]])
-    with pytest.raises(ValueError, match="2x2"):
-        build_embedding(roots, basis=[[1, 0]])
-
-
-def test_order_without_one_empties_radius():
-    # {2, 2*alpha} spans an order-like lattice without 1; nothing lies
-    # within the psi(1) radius, which must surface as an error
-    lat = build_embedding(
-        find_roots(parse_polynomial("x^2-x-1")), basis=[[2, 0], [0, 2]]
-    )
-    with pytest.raises(RuntimeError, match="radius search empty"):
-        shortest_vector(lat)
+    assert exact_det(rows) == _leibniz_det(rows)
 
 
 def test_dimension_caps():
@@ -673,7 +632,7 @@ def test_dimension_caps():
 
 
 def test_element_poly_matches_coordinates():
-    # element_poly is over the power basis; with the default basis they agree
+    # element_poly is the minimizer over the power basis, the lattice's own
     sv = shortest_vector(lattice_of("x^6+x^2-1"))
     assert sv.element_poly == (0, 1, 0, 0, 0, 0)
     # and the m value matches the generator's size profile
@@ -693,9 +652,9 @@ MINPOLY_FIELDS = [
 
 
 def _mul_mod(a, b, p):
-    """a * b in Q[x]/(p) over the power basis, p monic, in Fractions."""
+    """a * b in Z[x]/(p) over the power basis, p monic."""
     n = p.degree
-    prod = [Fraction(0)] * (2 * n - 1)
+    prod = [0] * (2 * n - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             prod[i + j] += x * y
@@ -706,8 +665,8 @@ def _mul_mod(a, b, p):
 
 
 def _evaluate_mod(f, beta, p):
-    """f(beta) in Q[x]/(p), by Horner with exact Fractions."""
-    acc = [Fraction(0)] * p.degree
+    """f(beta) in Z[x]/(p), by Horner."""
+    acc = [0] * p.degree
     for c in reversed(f.coefficients):
         acc = _mul_mod(acc, beta, p)
         acc[0] += c
@@ -717,8 +676,7 @@ def _evaluate_mod(f, beta, p):
 @st.composite
 def field_elements(draw):
     p = draw(st.sampled_from(MINPOLY_FIELDS))
-    coord = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
-    beta = draw(st.lists(coord, min_size=p.degree, max_size=p.degree))
+    beta = draw(st.lists(st.integers(-3, 3), min_size=p.degree, max_size=p.degree))
     return p, beta
 
 
@@ -738,11 +696,11 @@ def test_minimal_polynomial_certificate(element):
 
 
 @pytest.mark.parametrize(
-    "c,text", [(0, "x"), (1, "x-1"), (-3, "x+3"), (Fraction(3, 2), "2x-3")]
+    "c,text", [(0, "x"), (1, "x-1"), (-3, "x+3"), (2, "x-2")]
 )
 def test_minimal_polynomial_of_constant(c, text):
     p = parse_polynomial("x^5-x^3+x^2+x-1")
-    degree, f = _minimal_polynomial([Fraction(c)] + [Fraction(0)] * 4, p)
+    degree, f = _minimal_polynomial([c] + [0] * 4, p)
     assert degree == 1
     assert f.to_text() == text
 

@@ -21,7 +21,6 @@ from minklat.measures import (
     root_extract_profile,
     size_profile,
     unit_necessity_gate,
-    universal_m_floor,
 )
 from minklat.roots import InconclusiveError, find_roots
 
@@ -213,7 +212,7 @@ def test_signature_bound_closed_form():
 
 
 def test_signature_bound_floor_and_minimizer():
-    floor = universal_m_floor()
+    floor = UNIVERSAL_M_FLOOR
     assert floor == pytest.approx(math.e * math.log(2) / 2, rel=1e-15)
     for s in range(0, 51):
         for t in range(0, 51):
