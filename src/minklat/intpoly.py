@@ -44,14 +44,18 @@ def _horner_with_derivative(coeffs: Sequence, x):
     update the accumulators in place instead of allocating two arrays per
     coefficient, and on immutable scalars they only rebind. So an integer
     array x with float or complex coefficients raises on the in-place add;
-    pass a float or complex array.
+    pass a float or complex array.  A zero c costs no add: skipping + 0.0
+    can change only the sign of a zero component of p or p', Aberth's
+    iterates (the only array input) hold zero components only as +0.0, and
+    no nonzero value reads a zero's sign.
     """
     p = dp = 0
     for c in reversed(coeffs):
         dp *= x
         dp += p
         p *= x
-        p += c
+        if c:
+            p += c
     return p, dp
 
 
@@ -277,41 +281,47 @@ def parse_polynomial(text: str) -> IntPolynomial:
 
 # -- exact division ---------------------------------------------------------
 
+def _long_divide(r: list, b: Sequence[int]) -> list:
+    """Quotient digits r[k] // lc(b) of integer long division of r by b (int
+    lists, constant first); the remainder is left in r.  On r = lc(b)^e·a,
+    e = da-db+1, every digit is exact (Knuth, TAOCP vol. 2, §4.6.1), so r
+    ends as prem(a, b) after O(e·deg b) products.
+    """
+    db, lead = len(b) - 1, b[-1]
+    q = []
+    for k in range(len(r) - 1, db - 1, -1):
+        c = r[k] // lead
+        q.append(c)
+        if c:
+            for i, bc in enumerate(b, k - db):
+                r[i] -= c * bc
+    q.reverse()
+    return q
+
+
 def try_divide(num: IntPolynomial, den: IntPolynomial) -> Optional[IntPolynomial]:
     """num / den when the division is exact with integer quotient, else None.
 
     Integer long division: a leading coefficient that lc(den) does not divide
-    stays in the remainder untouched, so a zero remainder decides both.
+    leaves a residue in the remainder, so a zero remainder decides both.
     """
     if den.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
     r = list(num.coefficients)
-    d, lead = den.degree, den.leading_coefficient
-    q = [0] * max(len(r) - d, 0)
-    for k in range(len(r) - 1, d - 1, -1):
-        c = r[k] // lead
-        if c:
-            q[k - d] = c
-            for i, dc in enumerate(den.coefficients):
-                r[k - d + i] -= c * dc
+    q = _long_divide(r, den.coefficients)
     return None if any(r) else IntPolynomial(q)
 
 
 # -- pseudo-remainder sequences ----------------------------------------------
 
 def _pseudo_rem(a: Sequence[int], b: Sequence[int]) -> list:
-    """Pseudo-remainder of dense int lists (constant first): lc(b)^(da-db+1)*a mod b."""
-    da, db = len(a) - 1, len(b) - 1
-    lb = b[-1]
-    r = list(a)
-    for k in range(da, db - 1, -1):
-        c = r[k]
-        for i in range(k):
-            r[i] *= lb
-        if c:
-            for i in range(db):
-                r[k - db + i] -= c * b[i]
-        r[k] = 0
+    """Pseudo-remainder of dense int lists (constant first): lc(b)^(da-db+1)*a mod b.
+
+    One exact _long_divide of that scaled dividend: O((da-db+1)·deg b) products.
+    """
+    scale = b[-1] ** (len(a) - len(b) + 1)
+    r = [c * scale for c in a]
+    _long_divide(r, b)
     while r and r[-1] == 0:
         r.pop()
     return r

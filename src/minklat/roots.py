@@ -103,7 +103,7 @@ def _aberth(coeffs: Sequence[int]) -> np.ndarray:
             newton = p / dp
             np.subtract(z[:, None], z[None, :], out=diff)
             diagonal[:] = np.inf
-            s = np.sum(np.divide(1.0, diff, out=diff), axis=1)
+            s = np.add.reduce(np.divide(1.0, diff, out=diff), axis=1)
             w = newton / (1.0 - newton * s)
         if not np.isfinite(w).all():
             # a non-finite real or imaginary part becomes 0, the other part
@@ -111,7 +111,7 @@ def _aberth(coeffs: Sequence[int]) -> np.ndarray:
             for part in (w.real, w.imag):
                 part[~np.isfinite(part)] = 0.0
         z = z - w
-        if np.max(np.abs(w) / (1.0 + np.abs(z))) < 1e-14:
+        if np.maximum.reduce(np.abs(w) / (1.0 + np.abs(z))) < 1e-14:
             return z
     # The step can stall at the rounding floor above 1e-14, as on
     # (x-1)...(x-6) +- 1.  Keep the last iterate where each computed |f(z_i)|

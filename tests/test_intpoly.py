@@ -392,6 +392,77 @@ def test_sturm_count_at_rational_endpoints(case, extra):
     assert sturm_real_count(p, (b, None)) == sum(1 for k in roots if k > b)
 
 
+# -- pseudo-remainder --------------------------------------------------------------
+
+def _multiply_through_pseudo_rem(a, b):
+    # the textbook loop: scale the remainder by lc(b) at every step, then
+    # cancel its leading term, O((da - db + 1) da) products
+    da, db = len(a) - 1, len(b) - 1
+    lb = b[-1]
+    r = list(a)
+    for k in range(da, db - 1, -1):
+        c = r[k]
+        for i in range(k):
+            r[i] *= lb
+        if c:
+            for i in range(db):
+                r[k - db + i] -= c * b[i]
+        r[k] = 0
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+sparse_coeff = st.one_of(st.just(0), st.integers(-30, 30))
+
+
+@st.composite
+def pseudo_division_pair(draw):
+    """(a, b) as dense int lists, deg a >= deg b >= 0, both leading
+    coefficients nonzero, lc(b) often negative or not a unit; half the
+    dividends are q b + r with zero digits in q."""
+    lead = draw(st.sampled_from([-7, -3, -2, -1, 1, 2, 4, 9]))
+    b = draw(st.lists(sparse_coeff, max_size=5)) + [lead]
+    if draw(st.booleans()):
+        a = draw(st.lists(sparse_coeff, min_size=len(b) - 1, max_size=10))
+        a.append(draw(st.integers(1, 30)) * draw(st.sampled_from([-1, 1])))
+    else:
+        q = draw(st.lists(sparse_coeff, max_size=6)) + [draw(st.sampled_from([-5, -1, 1, 3]))]
+        r = draw(st.lists(sparse_coeff, max_size=len(b) - 1))
+        a = list(intpoly._poly_mul(q, b))
+        for i, c in enumerate(r):
+            a[i] += c
+    return a, b
+
+
+@settings(max_examples=300)
+@given(pseudo_division_pair())
+def test_pseudo_rem_equals_the_multiply_through_loop(pair):
+    a, b = pair
+    expected = _multiply_through_pseudo_rem(a, b)
+    assert intpoly._pseudo_rem(a, b) == expected
+    # lc(b)^(da-db+1) a = Q b + prem(a, b), with an integer Q
+    scale = b[-1] ** (len(a) - len(b) + 1)
+    q = try_divide(IntPolynomial(c * scale for c in a) - IntPolynomial(expected), IntPolynomial(b))
+    assert q is not None and len(expected) < len(b)
+
+
+FAMILY_CHAINS = {
+    "truncated_geom151": truncated_geom(151),
+    "multinacci150": multinacci(150),
+    "even_spread402": even_spread(402),
+    "multinacci_cofactor400": multinacci_cofactor(400),
+}
+
+
+@pytest.mark.parametrize("p", FAMILY_CHAINS.values(), ids=FAMILY_CHAINS.keys())
+def test_remainder_sequence_matches_the_multiply_through_loop(p, monkeypatch):
+    a, b = list(p.coefficients), list(p.derivative().coefficients)
+    got = intpoly._remainder_sequence(a, b)
+    monkeypatch.setattr(intpoly, "_pseudo_rem", _multiply_through_pseudo_rem)
+    assert got == intpoly._remainder_sequence(a, b)
+
+
 # -- resultant and discriminant ----------------------------------------------------
 
 def test_discriminant_reference_values():

@@ -125,6 +125,37 @@ def test_aberth_still_raises_without_backward_stable_roots(monkeypatch):
         _aberth(_shifted_factorial(6, -1).coefficients)
 
 
+def _always_add_horner(coeffs, x):
+    # _horner_with_derivative without its zero-coefficient skip
+    p = dp = 0
+    for c in reversed(coeffs):
+        dp *= x
+        dp += p
+        p *= x
+        p += c
+    return p, dp
+
+
+SPARSE_ABERTH = {
+    "cofactor10": multinacci_cofactor(10),
+    "cofactor100": multinacci_cofactor(100),
+    "root_power4": root_power(4),
+    "even_spread22": even_spread(22),
+    "totally_real": P("x^4-10x^2+1"),
+    "purely_imaginary": P("x^4+3x^2+1"),
+    "stalled": _shifted_factorial(6, 1),
+}
+
+
+@pytest.mark.parametrize("p", SPARSE_ABERTH.values(), ids=SPARSE_ABERTH.keys())
+def test_aberth_bytes_do_not_depend_on_adding_zero_coefficients(p, monkeypatch):
+    # the skipped + 0.0 can change only the sign of a zero, which no
+    # iterate reads: every root comes out bit for bit as with the adds
+    got = _aberth(p.coefficients).tobytes()
+    monkeypatch.setattr(roots, "_horner_with_derivative", _always_add_horner)
+    assert got == _aberth(p.coefficients).tobytes()
+
+
 # -- accuracy above degree 100 ------------------------------------------------------
 
 HIGH_DEGREE = {
