@@ -5,16 +5,17 @@ degree 6, so the pipeline generates candidates through sound prunes:
 
   * constant term forced to +-1 (any norm >= 2 pushes m over the universal
     floor for n <= 23, see measures.unit_necessity_gate);
-  * Newton-identity windows: m < 1 forces sum |alpha_i|^2 = R + 2C < 2(s+t),
-    hence |p_k| <= (2(s+t))^(k/2) for k >= 2 and |p_1| <= sqrt(2n(s+t)), so
-    each coefficient lives in a short interval around the value making the
-    next power sum zero;
-  * Maclaurin bound |a_i| <= C(n,i)(2(s+t)/n)^(i/2) on the same ball;
+  * Newton-identity windows: m < 1 forces sum |alpha_i|^2 = R + 2C < rho =
+    2(s+t), hence p_k^2 <= rho^k for k >= 2 and p_1^2 <= n rho, so each
+    coefficient lives in a short interval around the value making the next
+    power sum zero;
+  * Maclaurin bound a_i^2 n^i <= C(n,i)^2 rho^i on the same ball;
   * f(1) != 0 and f(-1) != 0 (else reducible);
   * one representative per {f(x), (-1)^n f(-x)} orbit is tested, both
     members are reported.
 
-Every window grows with the ball, so one walk per degree serves every
+Every window is an exact integer bound, with no slack, and every window
+grows with the ball, so one walk per degree serves every
 signature: it runs on the largest ball, 2(n-1), and marks the leaves that
 each smaller signature's own windows admit, in the order that signature's
 own walk would list them. The walk is vectorized one depth at a time and
@@ -66,7 +67,6 @@ PRESCREEN_M_GUARD = 1e-6
 PRESCREEN_CHUNK = 4096
 FLOOR_MARGIN = 0.01
 REAL_ROOT_POINTS = ((1, 1), (3, 2), (2, 1), (5, 2), (3, 1))  # c = num/den, ascending
-WINDOW_SLACK = 1.0 + 1e-6
 
 
 # -- candidate generation -------------------------------------------------------------
@@ -84,29 +84,33 @@ def _orbit(coeffs: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
 
 def _windows(
     n: int, rho: float, totally_real: bool
-) -> Tuple[List[float], List[float], List[int]]:
-    """The walk's windows on the ball sum |alpha_i|^2 <= rho: lower[k] <= p_k
-    <= upper[k] for the Newton power sums and |a_k| <= mac[k] (Maclaurin)."""
-    upper = [0.0] * (n + 1)
-    upper[1] = math.sqrt(n * rho) * WINDOW_SLACK
-    for k in range(2, n + 1):
-        upper[k] = rho ** (k / 2) * WINDOW_SLACK
-    # An even p_k of real roots is an integer >= 0, and -1/2 lets 0 through.
-    # Power sums past p_n are not windowed: a leaf outside their windows lies
-    # outside the ball, so the search's prescreen finds m >= 1, and the scans'
-    # exact signature or p_2 test rejects it.
+) -> Tuple[List[int], List[int], List[int]]:
+    """The walk's windows on the ball sum |alpha_i|^2 <= rho, as exact
+    integers: lower[k] <= p_k <= upper[k] for the Newton power sums and
+    |a_k| <= mac[k] (Maclaurin).  rho is an int, float or Fraction.
+
+    p_1^2 <= n rho, p_k^2 <= rho^k and a_k^2 n^k <= C(n,k)^2 rho^k, so each
+    bound is the isqrt of an exact floor, and an integer meets its test
+    exactly when it lies within the bound."""
+    num, den = rho.as_integer_ratio()
+    upper = [0, math.isqrt(n * num // den)]
+    upper += [math.isqrt(num**k // den**k) for k in range(2, n + 1)]
+    # An even p_k of real roots is >= 0.  Power sums past p_n are not
+    # windowed: a leaf outside their windows lies outside the ball, so the
+    # search's prescreen finds m >= 1, and the scans' exact signature or p_2
+    # test rejects it.
     lower = [-b for b in upper]
     if totally_real:
-        lower[2::2] = [-0.5] * (n // 2)
-    mac = [int(comb(n, i) * (rho / n) ** (i / 2) * WINDOW_SLACK) for i in range(n + 1)]
+        lower[2::2] = [0] * (n // 2)
+    mac = [math.isqrt(comb(n, k) ** 2 * num**k // (n * den) ** k) for k in range(n + 1)]
     return upper, lower, mac
 
 
 def _window(center: np.ndarray, k: int, upper, lower, mac):
     """Bounds lo..hi of a_k for each prefix: p_k = center - k a_k inside its
     window, and |a_k| within the Maclaurin cap."""
-    lo = np.maximum(np.ceil((center - upper[k]) / k), -mac[k]).astype(np.int64)
-    hi = np.minimum(np.floor((center - lower[k]) / k), mac[k]).astype(np.int64)
+    lo = np.maximum(-((upper[k] - center) // k), -mac[k])
+    hi = np.minimum((center - lower[k]) // k, mac[k])
     return lo, hi
 
 
@@ -127,32 +131,34 @@ def _walk(
 
     The search walks rho = 2(s+t) with a_n = +-1.  check_smyth (rho =
     3n/2) and subelement_scan (rho = bound/w_min) pass totally_real, which
-    holds the even p_k in [0, rho^(k/2)) and takes any nonzero a_n of its
-    window.  a1_values=None walks every a_1 >= 0.
+    holds the even p_k >= 0 and takes any nonzero a_n of its window.
+    a1_values=None walks every a_1 >= 0.
 
-    The walk runs one depth at a time on int64 columns of a_1..a_k and
-    p_1..p_k, and compares them with float windows, so every integer it
-    forms must stay below 2^53; a ball too large for that raises ValueError
-    before any array is built.
+    Every window is an exact integer bound (_windows), and the leaf's p_n
+    meets the same test, p_n^2 <= rho^n, as every power sum before it.  The
+    walk runs one depth at a time on int64 columns of a_1..a_k and
+    p_1..p_k, so every integer it forms must stay below 2^63; a ball too
+    large for that raises ValueError before any array is built.
     """
     if any(rho > rhos[0] for rho in rhos):
         raise ValueError("the walked ball rhos[0] must be the largest")
     too_large = f"ball radius {rhos[0]} too large for an exact walk"
-    if not n * math.log2(rhos[0]) < 106:  # rho^(n/2) >= 2^53, or infinite
+    if not n * math.log2(rhos[0]) < 126:  # rho^(n/2) >= 2^63, or infinite
         raise ValueError(too_large)
     windows = [_windows(n, rho, totally_real) for rho in rhos]
     upper, lower, mac = windows[0]
     # |p_j| <= upper[j] and |a_i| <= mac[i] bound every integer formed: the
-    # Newton sums center = p_k + k a_k and the leaf's p_n
+    # Newton sums center = p_k + k a_k, center minus either end of p_k's
+    # window, k a_k, and p_k (at the unit leaf, center -+ n)
     reach = max(
-        sum(mac[i] * upper[k - i] for i in range(1, k)) + k * mac[k]
+        sum(mac[i] * upper[k - i] for i in range(1, k)) + max(upper[k], k * mac[k], k)
         for k in range(1, n + 1)
     )
-    if reach >= 2.0**53:
+    if reach >= 2**63:
         raise ValueError(too_large)
-    a1_bounds = [min(u[1], m[1]) for u, _, m in windows]
+    a1_bounds = [u[1] for u, _, _ in windows]
     if a1_values is None:
-        a1_values = range(int(a1_bounds[0]) + 1)
+        a1_values = range(a1_bounds[0] + 1)
     first = [a1 for a1 in a1_values if 0 <= a1 <= a1_bounds[0]]
     a = [np.array(first, dtype=np.int64)]  # a[k-1] is the column of a_k
     p = [-a[0]]  # p[k-1] is the power sum p_k of the fixed a_1..a_k
@@ -186,14 +192,14 @@ def _walk(
         p = [col[parent] for col in p] + [pk]
         sym_open = sym_open[parent] & ~(odd & (ak != 0))
     # the leaf tests, before any prefix column is gathered: a_n != 0,
-    # |p_n| < upper[n], f(1) != 0 and f(-1) != 0 (else reducible)
+    # |p_n| <= upper[n], f(1) != 0 and f(-1) != 0 (else reducible)
     f_at_1 = (1 + sum(a))[parent] + ak
     alternating = sum(c if (n - i) % 2 == 0 else -c for i, c in enumerate(a, 1))
     f_at_m1 = ((-1) ** n + alternating)[parent] + ak
     pn = np.abs(pk)
-    keep = (ak != 0) & (pn < upper[n]) & (f_at_1 != 0) & (f_at_m1 != 0)
+    keep = (ak != 0) & (pn <= upper[n]) & (f_at_1 != 0) & (f_at_m1 != 0)
     for j, (u, _, _) in enumerate(windows[1:], start=1):
-        admitted[j] &= pn < u[n]
+        admitted[j] &= pn <= u[n]
     parent = parent[keep]
     leaves = np.empty((len(parent), n), dtype=np.int64)
     for i, col in enumerate(a):
@@ -429,8 +435,8 @@ def enumerate_m_lt_one(
     parts = []
     if signatures:
         st = sum(signatures[0])  # the largest ball
-        a1_cap = int(math.sqrt(2 * n * st) * WINDOW_SLACK)
-        a1_values = list(range(0, a1_cap + 1))
+        upper, _, _ = _windows(n, 2 * st, False)
+        a1_values = list(range(upper[1] + 1))
         workers = max(1, min(threads, len(a1_values)))
         jobs = [(n, signatures, a1_values[i::workers]) for i in range(workers)]
         if workers == 1:

@@ -10,6 +10,7 @@ pairs and 6 even-coefficient singletons); sets of this shape always have an
 even count plus the singleton count, and all 6 singletons are certified.
 """
 import math
+from fractions import Fraction
 from math import comb, factorial
 
 import numpy as np
@@ -28,7 +29,6 @@ from search_oracle import coefficient_bounds, raw_box, raw_box_search
 from minklat.search import (
     FLOOR_MARGIN,
     M_GUARD,
-    WINDOW_SLACK,
     _companion_sums,
     _mirror_coeffs,
     _prescreen,
@@ -253,6 +253,24 @@ def test_counts_match_lengths(search_report_5, search_report_6):
         assert r.wall_time > 0
 
 
+def test_search_counters_degree3(search_report_3):
+    assert search_report_3.stats == {
+        "generated": 15,
+        "passed_prescreen": 2,
+        "passed_irreducibility": 2,
+        "passed_m": 4,
+    }
+
+
+def test_search_counters_degree4(search_report_4):
+    assert search_report_4.stats == {
+        "generated": 314,
+        "passed_prescreen": 33,
+        "passed_irreducibility": 2,
+        "passed_m": 3,
+    }
+
+
 def test_search_counters_degree5(search_report_5):
     assert search_report_5.stats == {
         "generated": 22911,
@@ -473,25 +491,33 @@ def _totally_real_box(n, rho):
     return found
 
 
-def _window_box(n, rho, totally_real, unit_constant):
-    """Brute force over the box |a_k| <= C(n,k) rho^(k/2), filtered by the
-    walk's definition: |a_k| within the Maclaurin cap
-    C(n,k)(rho/n)^(k/2)·slack, |p_1| <= sqrt(n rho)·slack, |p_k| <=
-    rho^(k/2)·slack for 2 <= k < n, |p_n| < rho^(n/2)·slack, every even p_k
-    >= 0 if totally_real, a_n = +-1 if unit_constant (else a_n != 0), and
-    f(1), f(-1) != 0.  Each test reads only a_1..a_k, so a head is extended
-    only while it passes."""
-    found = set()
+def _admits(n, rho, totally_real):
+    """The walk's window test on a_k and its power sum p_k, decided exactly
+    on the ball sum |alpha_i|^2 <= rho: a_k^2 n^k <= C(n,k)^2 rho^k
+    (Maclaurin), p_1^2 <= n rho, p_k^2 <= rho^k at every depth k >= 2, the
+    leaf included, and p_k >= 0 for even k if totally_real."""
+    r = Fraction(rho)
 
     def admits(k, ak, pk):
-        if abs(ak) > comb(n, k) * (rho / n) ** (k / 2) * WINDOW_SLACK:
+        if ak * ak * n**k > comb(n, k) ** 2 * r**k:
             return False
         if k == 1:
-            return abs(pk) <= math.sqrt(n * rho) * WINDOW_SLACK
+            return pk * pk <= n * r
         if totally_real and k % 2 == 0 and pk < 0:
             return False
-        limit = rho ** (k / 2) * WINDOW_SLACK
-        return abs(pk) < limit if k == n else abs(pk) <= limit
+        return pk * pk <= r**k
+
+    return admits
+
+
+def _window_box(n, rho, totally_real, unit_constant):
+    """Brute force over the box |a_k| <= C(n,k) rho^(k/2), filtered by
+    _admits, a_n = +-1 if unit_constant (else a_n != 0), and f(1), f(-1) !=
+    0.  Each test reads only a_1..a_k, so a head is extended only while it
+    passes."""
+    admits = _admits(n, rho, totally_real)
+    r = Fraction(rho)
+    found = set()
 
     def extend(head, sums):
         k = len(head) + 1
@@ -503,7 +529,7 @@ def _window_box(n, rho, totally_real, unit_constant):
         if k == n and unit_constant:
             values = (-1, 1)
         else:
-            b = int(comb(n, k) * rho ** (k / 2))
+            b = math.isqrt(math.floor(comb(n, k) ** 2 * r**k))
             values = [ak for ak in range(-b, b + 1) if ak or k < n]
         for ak in values:
             # Newton: p_k = -k a_k - sum_{i<k} a_i p_(k-i)
@@ -523,67 +549,36 @@ def _leaves(n, a1_values, rho, totally_real, unit_constant):
     return [tuple(c) for c in leaves.tolist()]
 
 
-def _walk_reference(n, a1_values, rho, totally_real, unit_constant):
-    """The recursive, depth-first form of the Newton-window walk, with the
-    same float window expressions: the order oracle for the vectorized
-    search._walk."""
-    upper = [0.0] * (n + 1)
-    upper[1] = math.sqrt(n * rho) * WINDOW_SLACK
-    for k in range(2, n + 1):
-        upper[k] = rho ** (k / 2) * WINDOW_SLACK
-    lower = [-b for b in upper]
-    if totally_real:
-        lower[2::2] = [-0.5] * (n // 2)
-    mac = [int(comb(n, i) * (rho / n) ** (i / 2) * WINDOW_SLACK) for i in range(n + 1)]
+def _walk_reference(n, rho, totally_real, unit_constant):
+    """The recursive, depth-first form of the Newton-window walk: each a_k
+    runs ascending over its Maclaurin cap and is kept where _admits passes,
+    with a_k >= 0 at odd k while every earlier odd a_i is 0 (one member per
+    mirror orbit).  The order oracle for the vectorized search._walk."""
+    admits = _admits(n, rho, totally_real)
+    r = Fraction(rho)
     out = []
-    a = [0] * (n + 1)  # a[k] multiplies x^(n-k); a[0] unused
-    p = [0] * n  # p[k] is the power sum p_k of the fixed a_1..a_k
 
-    def emit_leaf(sym_open):
-        center = -sum(a[i] * p[n - i] for i in range(1, n))
-        if unit_constant:
-            choices = (1,) if (sym_open and n % 2) else (-1, 1)
+    def walk(head, sums, sym_open):
+        k = len(head) + 1
+        center = -sum(head[i - 1] * sums[k - i - 1] for i in range(1, k))
+        if k == n and unit_constant:
+            values = (-1, 1)
         else:
-            lo = max(math.ceil((center - upper[n]) / n), -mac[n])
-            hi = min(math.floor((center - lower[n]) / n), mac[n])
-            if sym_open and n % 2:
-                lo = max(lo, 1)
-            choices = [an for an in range(lo, hi + 1) if an]
-        for an in choices:
-            if abs(center - n * an) >= upper[n]:
-                continue
-            a[n] = an
-            f_at_1 = 1 + sum(a[1:])
-            f_at_m1 = (-1) ** n + sum(a[i] * (-1) ** (n - i) for i in range(1, n + 1))
-            if f_at_1 and f_at_m1:
-                out.append(tuple(a[1:]))
-        a[n] = 0
-
-    def walk(k, sym_open):
-        if k == n:
-            emit_leaf(sym_open)
-            return
-        center = -sum(a[i] * p[k - i] for i in range(1, k))
-        lo = max(math.ceil((center - upper[k]) / k), -mac[k])
-        hi = min(math.floor((center - lower[k]) / k), mac[k])
+            cap = math.isqrt(math.floor(comb(n, k) ** 2 * (r / n) ** k))
+            values = range(-cap, cap + 1)
         odd = k % 2 == 1
-        if odd and sym_open:
-            lo = max(lo, 0)
-        for ak in range(lo, hi + 1):
-            a[k] = ak
-            p[k] = center - k * ak
-            walk(k + 1, sym_open and not (odd and ak))
-        a[k] = 0
+        for ak in values:
+            pk = center - k * ak
+            if (odd and sym_open and ak < 0) or not admits(k, ak, pk):
+                continue
+            if k < n:
+                walk(head + (ak,), sums + (pk,), sym_open and not (odd and ak))
+            elif ak:
+                poly = _to_polynomial(head + (ak,), n)
+                if poly(1) and poly(-1):
+                    out.append(head + (ak,))
 
-    a1_bound = min(upper[1], mac[1])
-    if a1_values is None:
-        a1_values = range(int(a1_bound) + 1)
-    for a1 in a1_values:
-        if abs(a1) > a1_bound or a1 < 0:
-            continue
-        a[1] = a1
-        p[1] = -a1
-        walk(2, a1 == 0)
+    walk((), (), True)
     return out
 
 
@@ -599,17 +594,35 @@ WALK_BALLS = (
 
 @pytest.mark.parametrize("n, rho, totally_real, unit_constant", WALK_BALLS)
 def test_walk_lists_the_reference_leaves_in_order(n, rho, totally_real, unit_constant):
-    reference = _walk_reference(n, None, rho, totally_real, unit_constant)
+    reference = _walk_reference(n, rho, totally_real, unit_constant)
     assert reference  # the oracle is not vacuous
     assert _leaves(n, None, rho, totally_real, unit_constant) == reference
+
+
+@pytest.mark.parametrize(
+    "n, rho, totally_real, leaf",
+    [
+        (4, 6, False, (2, 0, -7, -1)),  # p_4 = -36
+        (3, 4, False, (1, 2, -1)),  # p_3 = 8
+        (2, 3, True, (1, -1)),  # x^2+x-1, check_smyth's equality case
+    ],
+)
+def test_walk_lists_a_leaf_on_its_window_edge(n, rho, totally_real, leaf):
+    # the leaf's p_n meets p_n^2 <= rho^n with equality, so a strict test
+    # at the leaf would drop it
+    sums = []  # Newton: p_k = -k a_k - sum_{i<k} a_i p_(k-i)
+    for k in range(1, n + 1):
+        center = -sum(leaf[i - 1] * sums[k - i - 1] for i in range(1, k))
+        sums.append(center - k * leaf[k - 1])
+    assert sums[-1] ** 2 == rho**n
+    assert leaf in _leaves(n, None, rho, totally_real, not totally_real)
 
 
 def _assert_nested(n):
     # the per-degree walk, one a_1 value at a time as the search runs it:
     # each signature's admitted leaves are that signature's own walk
     rhos = [2 * (s + t) for s, t in admissible_signatures(n)]
-    a1_cap = int(math.sqrt(n * rhos[0]) * WINDOW_SLACK)
-    for a1 in range(a1_cap + 1):
+    for a1 in range(math.isqrt(n * rhos[0]) + 1):
         leaves, admitted = _walk(n, [a1], rhos, False)
         assert admitted[0].all()
         for rho, mask in zip(rhos[1:], admitted[1:]):
@@ -627,11 +640,11 @@ def test_walk_nests_the_smaller_signature_degree6():
     _assert_nested(6)
 
 
-@pytest.mark.parametrize("bound_sq", [1e12, 1e300, math.inf])
+@pytest.mark.parametrize("bound_sq", [1e13, 1e300, math.inf])
 def test_walk_refuses_a_ball_beyond_exact_float_range(monkeypatch, bound_sq):
-    # rho^(3/2) >= 1e18 > 2^53: an int64 walk could no longer be compared
-    # exactly with its float windows, so it must fail before building
-    # any array (and before a window overflows a float)
+    # rho^(3/2) >= 3.2e19 > 2^63: p_3 of the ball no longer fits in int64,
+    # so the walk must fail before building any array (and before an
+    # infinite radius reaches as_integer_ratio)
     def no_array(*args, **kwargs):
         raise AssertionError("array built before the range check")
 
@@ -642,10 +655,10 @@ def test_walk_refuses_a_ball_beyond_exact_float_range(monkeypatch, bound_sq):
 
 
 def test_walk_refuses_a_newton_sum_beyond_exact_float_range():
-    # rho^(3/2) = 5.2e15 < 2^53, but the Newton sum a_1 p_2 + a_2 p_1 + 3 a_3
-    # of the ball can reach about 4 rho^(3/2) = 2.1e16, past 2^53
+    # rho^(3/2) = 2.8e18 < 2^63, but the Newton sum a_1 p_2 + a_2 p_1 + 3 a_3
+    # of the ball can reach about 1.1e19, past 2^63
     with pytest.raises(ValueError, match="too large"):
-        _walk(3, None, [3e10], True)
+        _walk(3, None, [2e12], True)
 
 
 def _walk_with_mirrors(n, rho, totally_real, unit_constant):
