@@ -61,24 +61,10 @@ from .verify import (
 
 
 def _parse_polynomial(text: str) -> IntPolynomial:
-    """Accept either an expression like ``x^3-x-1`` or a coefficient list
-    like ``1,0,-1,-1`` or ``1 0 -1 -1`` (leading coefficient first).
-    """
-    raw = text.strip()
-    if not raw:
-        raise click.UsageError("empty polynomial")
-    if "x" in raw:
-        try:
-            return parse_polynomial(raw)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
     try:
-        desc = [int(p) for p in re.split(r"\s*,\s*|\s+", raw)]
-    except ValueError:
-        raise click.UsageError(f"cannot parse coefficient list: {text!r}")
-    if desc[0] == 0:
-        raise click.UsageError("leading coefficient must be nonzero")
-    return IntPolynomial(tuple(reversed(desc)))
+        return parse_polynomial(text)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
 
 
 def _parse_signature(text: Optional[str]) -> Optional[Tuple[int, int]]:

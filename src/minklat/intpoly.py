@@ -219,12 +219,6 @@ class IntPolynomial:
             parts.append(sign + body)
         return "".join(parts)
 
-    def to_coeff_text(self) -> str:
-        """Comma-separated coefficients, constant term first, e.g. ``-1,-1,0,1``."""
-        if self.is_zero:
-            return "0"
-        return ",".join(str(c) for c in self.coefficients)
-
 
 # One term of an expression: an optional sign, then a coefficient, x, or a
 # coefficient times x, with an optional power written ^ or **. Whitespace may
@@ -240,25 +234,26 @@ _TERM_RE = re.compile(
 
 
 def parse_polynomial(text: str) -> IntPolynomial:
-    """Parse either a comma list (constant first) or a human form like x^3-x-1.
+    """Parse an expression like ``x^3-x-1`` or a coefficient list like
+    ``1,0,-1,-1`` or ``1 0 -1 -1``.
 
-    In the human form every term after the first starts with + or -, so
-    juxtaposed terms such as ``1 2x`` or ``x2`` are rejected, and so is a
-    written leading term whose coefficients sum to zero (``x-x+1``). A comma
-    list whose last (leading) entry is 0, such as ``1,0`` or ``0``, is
-    rejected the same way.
+    Text without x is a list, leading coefficient first, separated by commas
+    or whitespace; a zero leading entry (``0,1`` or ``0``) is rejected. In an
+    expression every term after the first starts with + or -, so juxtaposed
+    terms such as ``1 2x`` or ``x2`` are rejected, and so is a written
+    leading term whose coefficients sum to zero (``x-x+1``).
     """
     s = text.strip()
     if not s:
-        raise ValueError("empty polynomial text")
-    if "," in s or re.fullmatch(r"[+-]?\d+", s):
+        raise ValueError("empty polynomial")
+    if "x" not in s:
         try:
-            ints = [int(part) for part in s.split(",")]
-        except ValueError as exc:
-            raise ValueError(f"bad coefficient list: {text!r}") from exc
-        if ints[-1] == 0:
-            raise ValueError(f"leading coefficient must be nonzero: {text!r}")
-        return IntPolynomial(ints)
+            desc = [int(part) for part in re.split(r"\s*,\s*|\s+", s)]
+        except ValueError:
+            raise ValueError(f"cannot parse coefficient list: {text!r}") from None
+        if desc[0] == 0:
+            raise ValueError("leading coefficient must be nonzero")
+        return IntPolynomial(reversed(desc))
     coeffs: dict[int, int] = {}
     pos = 0
     while pos < len(s):
@@ -275,7 +270,7 @@ def parse_polynomial(text: str) -> IntPolynomial:
         coeffs[deg] = coeffs.get(deg, 0) + sign * mag
         pos = m.end()
     if coeffs[max(coeffs)] == 0:
-        raise ValueError(f"leading coefficient must be nonzero: {text!r}")
+        raise ValueError(f"leading coefficient must be nonzero: {s!r}")
     return IntPolynomial(coeffs.get(i, 0) for i in range(max(coeffs) + 1))
 
 

@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .intpoly import IntPolynomial, _poly_mul, discriminant
+from .intpoly import IntPolynomial, _long_divide, _poly_mul, discriminant
 from .roots import ConjugateSet
 
 ENUMERATION_DIMENSION_CAP = 40
@@ -246,12 +246,9 @@ def _minimal_polynomial(
             combo = row[n : n + k + 1]
             return k, IntPolynomial(combo).normalized()
         echelon.append((pivot, row))
-        # power * gamma mod p, with x^m = -(lower coefficients of p) for m >= n
+        # power * gamma mod p; p is monic, so every quotient digit is exact
         power = _poly_mul(power, gamma)
-        for m in range(len(power) - 1, n - 1, -1):
-            if power[m]:
-                for idx in range(n):
-                    power[m - n + idx] -= power[m] * p.coefficients[idx]
+        _long_divide(power, p.coefficients)
         power = power[:n]
     raise RuntimeError("no dependency found within the field degree")
 

@@ -52,8 +52,12 @@ LOG2 = math.log(2.0)
 
 # Family irreducibility is certified through degree 12 and flagged as assumed
 # above it. The mod-p degree sets in is_irreducible reach further, but the
-# threshold stays for now: raising it changes report bytes, and the stage
-# takes about 0.3 s on even_spread(102), which would slow the family checks.
+# threshold stays for now: raising it changes report bytes, and slows the
+# family checks. The stage takes 0.17-0.18 s on even_spread(102), 0.22-0.24 s
+# on even_spread(122) and 0.012-0.018 s on root_power(40) (best of 2-3 runs,
+# Python 3.11, 2-core Xeon); the families benchmark's kiy check at k = 30
+# (degree 122) and cubic2 check at n = 40 (degree 120) sit above the
+# threshold, so raising it adds about 0.2 s to every families pass.
 CERTIFIED_IRREDUCIBILITY_DEGREE = 12
 
 # Frozen regression bounds for the scaled residuals.  Reference-run worst

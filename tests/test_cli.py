@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 
 from minklat import cli
 from minklat.cli import _parse_polynomial, main
-from minklat.intpoly import IntPolynomial
+from minklat.intpoly import IntPolynomial, parse_polynomial
 from minklat.lattice import ORDER_CAVEAT
 from minklat.measures import LINEAR_DISJOINTNESS_CAVEAT
 from minklat.verify import CheckRecord, check_prod, check_schur, run_suite
@@ -136,28 +136,44 @@ def test_analyze_parse_error_is_usage_error(runner):
     assert "cannot parse polynomial" in result.output
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["1 2x", "x2", "x x", "x^1 0", "x^2-x^2+1", "0x^2+x-1", "x-x", "3,,4", ",3", "1 0,,2"],
-)
+REJECTED_POLYNOMIALS = [
+    "1 2x", "x2", "x x", "x^1 0", "x^2-x^2+1", "0x^2+x-1", "x-x", "3,,4", ",3", "1 0,,2",
+]
+# whitespace between tokens, never inside a number; lists without x are
+# leading-first
+WHITESPACE_RULE = [
+    ("x ^ 2 - 2", (-2, 0, 1)),
+    ("x^10 - 2 x^5 + 1", (1, 0, 0, 0, 0, -2, 0, 0, 0, 0, 1)),
+    ("2*x**2 - 1", (-1, 0, 2)),
+    ("1 0 -2", (-2, 0, 1)),
+    ("2 3", (3, 2)),
+    ("1, 0 ,-2", (-2, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("text", REJECTED_POLYNOMIALS)
 def test_analyze_rejected_polynomials_exit_2(runner, text):
     result = runner.invoke(main, ["analyze", text])
     assert result.exit_code == 2
 
 
 def test_parser_whitespace_rule():
-    # one grammar with the library: whitespace between tokens, never inside
-    # a number; lists without x stay leading-first
-    assert _parse_polynomial("x ^ 2 - 2") == IntPolynomial((-2, 0, 1))
-    assert _parse_polynomial("x^10 - 2 x^5 + 1") == IntPolynomial(
-        (1, 0, 0, 0, 0, -2, 0, 0, 0, 0, 1)
-    )
-    assert _parse_polynomial("2*x**2 - 1") == IntPolynomial((-1, 0, 2))
-    assert _parse_polynomial("1 0 -2") == IntPolynomial((-2, 0, 1))
-    assert _parse_polynomial("2 3") == IntPolynomial((3, 2))
-    assert _parse_polynomial("1, 0 ,-2") == IntPolynomial((-2, 0, 1))
+    for text, coeffs in WHITESPACE_RULE:
+        assert _parse_polynomial(text) == IntPolynomial(coeffs)
     with pytest.raises(click.UsageError, match="cannot parse polynomial near"):
         _parse_polynomial("1 2x")
+
+
+@pytest.mark.parametrize("text", [t for t, _ in WHITESPACE_RULE] + REJECTED_POLYNOMIALS)
+def test_library_parses_as_the_command_line(text):
+    # the same polynomial from both, or an error from both
+    try:
+        expected = parse_polynomial(text)
+    except ValueError:
+        with pytest.raises(click.UsageError):
+            _parse_polynomial(text)
+    else:
+        assert _parse_polynomial(text) == expected
 
 
 @given(st.lists(st.integers(-5, 5), min_size=1, max_size=9).filter(lambda c: c[-1]))
