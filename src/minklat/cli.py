@@ -173,8 +173,7 @@ def analyze(
     try:
         roots = find_roots(p)
         prof = size_profile(roots)
-        # a linear polynomial has no root pairs to separate
-        disc = discriminant(p) if p.degree >= 2 else 1
+        disc = discriminant(p)
         bound = m_lower_bound_signature(prof.s, prof.t)
         rel = None
         if ext_sig is not None:

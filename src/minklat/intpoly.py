@@ -456,8 +456,8 @@ def resultant(p: IntPolynomial, q: IntPolynomial) -> int:
 def discriminant(p: IntPolynomial) -> int:
     """Exact discriminant from the resultant of p and its derivative."""
     n = p.degree
-    if n < 2:
-        raise ValueError("discriminant undefined for degree < 2")
+    if n < 1:
+        raise ValueError("discriminant undefined for degree < 1")
     res = resultant(p, p.derivative())
     lead = p.leading_coefficient
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
@@ -742,45 +742,33 @@ def is_irreducible(p: IntPolynomial, return_witness: bool = False):
     def result(verdict, witness=None):
         return (verdict, witness) if return_witness else verdict
 
-    if p.degree == 1:
-        return result(True)
     last = _sturm_chain(p)[-1]
     if len(last) > 1:
         # a primitive divisor of p over Q divides it over Z (Gauss)
         core = try_divide(p, IntPolynomial(last).normalized())
         witness = is_irreducible(core, return_witness=True)[1]
         return result(False, witness or core.normalized())
-    witness = _squarefree_factor(p)
-    return result(witness is None, witness)
-
-
-def _squarefree_factor(p: IntPolynomial) -> Optional[IntPolynomial]:
-    """The canonical factor of a primitive squarefree p of degree >= 2, or
-    None when p is irreducible (is_irreducible's squarefree branch)."""
     work = p if p.is_monic else _monicize(p)
     sizes, prime, parts = _factor_degree_sizes(work)
     factors = _find_factor(work, sizes, prime, parts) if sizes else []
     if not factors:
-        return None
+        return result(True)
     # map back through x -> lc*x and strip content
     lc = p.leading_coefficient
     mapped = [IntPolynomial(c * lc ** i for i, c in enumerate(g.coefficients)).normalized()
               for g in factors]
-    return min(mapped, key=lambda w: w.coefficients[::-1])
+    return result(False, min(mapped, key=lambda w: w.coefficients[::-1]))
 
 
 def is_irreducible_of_signature(p: IntPolynomial, s: int) -> bool:
     """True iff p is irreducible over Q and has exactly s real roots.
 
     The exact Sturm count decides first, since it is cheap and rejects most
-    candidates; a polynomial that is not squarefree is reducible.  The count
-    has proven p squarefree, so its Sturm chain is not built again.
+    candidates; a polynomial that is not squarefree is reducible.
     """
     try:
         if sturm_real_count(p) != s:
             return False
     except ValueError:
         return False
-    if p.degree < 2:
-        return is_irreducible(p)
-    return _squarefree_factor(p.primitive_part()) is None
+    return is_irreducible(p)

@@ -96,15 +96,14 @@ def build_embedding(roots: ConjugateSet) -> EmbeddedLattice:
     """
     n = roots.degree
     s, t = roots.s, roots.t
-    order_disc = 1 if n == 1 else discriminant(roots.polynomial)
     lat = EmbeddedLattice(
         conjugates=roots,
         dimension=n,
         signature=(s, t),
         basis_matrix=_embedding_matrix(roots),
-        order_disc=order_disc,
+        order_disc=discriminant(roots.polynomial),
     )
-    expected = 2.0 ** (-t) * math.sqrt(abs(order_disc))
+    expected = 2.0 ** (-t) * math.sqrt(abs(lat.order_disc))
     if not math.isclose(lat.determinant, expected, rel_tol=DET_IDENTITY_RTOL):
         raise ArithmeticError("embedding inconsistent")
     return lat

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .constants import UNIVERSAL_M_FLOOR
-from .intpoly import IntPolynomial
 from .roots import ConjugateSet, InconclusiveError
 
 COMPARISON_GUARD = 1e-9
@@ -31,7 +30,6 @@ LINEAR_DISJOINTNESS_CAVEAT = (
 class SizeProfile:
     """Size measures of one algebraic integer, derived from certified roots."""
 
-    polynomial: IntPolynomial
     signature: Tuple[int, int]
     R: float
     C: float
@@ -61,12 +59,8 @@ class ExtensionSignature:
     t2: int
 
     def __post_init__(self):
-        if self.s2 < 0 or self.t2 < 0 or self.n2 < 1:
+        if self.s2 < 0 or self.t2 < 0 or self.s2 + 2 * self.t2 < 1:
             raise ValueError("extension signature needs s2, t2 >= 0 and s2 + 2t2 >= 1")
-
-    @property
-    def n2(self) -> int:
-        return self.s2 + 2 * self.t2
 
 
 def size_profile(roots: ConjugateSet) -> SizeProfile:
@@ -82,7 +76,6 @@ def size_profile(roots: ConjugateSet) -> SizeProfile:
         if a > 1.0:
             mahler *= a
     return SizeProfile(
-        polynomial=p,
         signature=(roots.s, roots.t),
         R=r_sum,
         C=c_sum,
@@ -189,16 +182,8 @@ def root_extract_profile(base: ConjugateSet, n: int) -> SizeProfile:
     t = (n - 1) * s1 // 2 + n * t1
     total = r_sum + c_sum
 
-    # minimal polynomial of the nth root is the base polynomial in x^n
-    base_coeffs = base.polynomial.coefficients
-    lifted = [0] * (n * base.polynomial.degree + 1)
-    for i, c in enumerate(base_coeffs):
-        lifted[i * n] = c
-    lifted_poly = IntPolynomial(lifted)
-
     prof = size_profile(base)
     return SizeProfile(
-        polynomial=lifted_poly,
         signature=(s, t),
         R=r_sum,
         C=c_sum,

@@ -61,7 +61,6 @@ class ConjugateSet:
     complex_reps: Tuple[complex, ...]
     s: int
     t: int
-    max_residual: float
 
     @property
     def degree(self) -> int:
@@ -127,17 +126,16 @@ def _aberth(coeffs: Sequence[int]) -> np.ndarray:
     raise RootFindingError("root finding failed")
 
 
-def _log_residual_ok(coeffs: Sequence[int], roots: np.ndarray) -> Tuple[bool, float]:
-    """Check |f(z)| <= RESIDUAL_FACTOR*(1+|z|)^n*l1 in log space; return max |f|."""
+def _log_residual_ok(coeffs: Sequence[int], roots: np.ndarray) -> bool:
+    """Check |f(z)| <= RESIDUAL_FACTOR*(1+|z|)^n*l1 in log space."""
     n = len(coeffs) - 1
     l1 = float(sum(abs(c) for c in coeffs))
     cf = [float(c) for c in coeffs]
     p = _horner(cf, np.asarray(roots, dtype=complex))
-    absp = np.abs(p)
     with np.errstate(divide="ignore"):
-        lhs = np.log(absp)
+        lhs = np.log(np.abs(p))
     rhs = math.log(RESIDUAL_FACTOR) + n * np.log1p(np.abs(roots)) + math.log(l1)
-    return bool(np.all(lhs <= rhs)), float(np.max(absp))
+    return bool(np.all(lhs <= rhs))
 
 
 @lru_cache(maxsize=512)
@@ -154,8 +152,7 @@ def _aberth_roots(coeffs: Tuple[int, ...]) -> np.ndarray:
 def _find_roots_cached(coeffs: Tuple[int, ...]) -> ConjugateSet:
     p = IntPolynomial(coeffs)
     roots = _aberth_roots(coeffs)
-    ok, max_resid = _log_residual_ok(coeffs, roots)
-    if not ok:
+    if not _log_residual_ok(coeffs, roots):
         raise RootFindingError("root finding failed")
 
     reals = []
@@ -178,7 +175,6 @@ def _find_roots_cached(coeffs: Tuple[int, ...]) -> ConjugateSet:
         complex_reps=tuple(sorted(complexes, key=lambda z: (z.real, z.imag))),
         s=s,
         t=t,
-        max_residual=max_resid,
     )
 
 
@@ -286,7 +282,6 @@ def pisot_check(roots: ConjugateSet) -> bool:
 class MultinacciLocation:
     """Per-clause verdicts for the root layout of multinacci(n)."""
 
-    n: int
     dominant_in_window: bool
     second_real_ok: bool
     annulus_ok: bool
@@ -332,7 +327,6 @@ def multinacci_location_check(n: int) -> MultinacciLocation:
         for z in cs.complex_reps
     )
     return MultinacciLocation(
-        n=n,
         dominant_in_window=dominant_in_window,
         second_real_ok=second_real_ok,
         annulus_ok=annulus_ok,

@@ -333,7 +333,10 @@ def check_cubic2(n: int) -> CheckRecord:
     irreducibility, irr_ok = _irreducibility(p)
     detail = ""
     if irreducibility == "assumed":
-        detail = "irreducibility assumed for degree > 12 (Ljunggren family)"
+        detail = (
+            f"irreducibility assumed for degree > {CERTIFIED_IRREDUCIBILITY_DEGREE}"
+            " (Ljunggren family)"
+        )
     ok = (
         roots.signature == expect_sig
         and irr_ok
@@ -537,13 +540,11 @@ def check_smyth(max_degree: int = 5) -> CheckRecord:
     )
 
 
-def check_root_extract(n: int, base: Optional[IntPolynomial] = None) -> CheckRecord:
-    """m of an odd n-th root of a fixed algebraic integer approaches
-    1 + log|Nm| / (s+t) with an O(n^(-2)) remainder; (s, t) is the extract's
-    signature.  Default base is x^3 - 2.
+def check_root_extract(n: int) -> CheckRecord:
+    """m of an odd n-th root of x^3 - 2 approaches 1 + log|Nm| / (s+t) with
+    an O(n^(-2)) remainder; (s, t) is the extract's signature.
     """
-    if base is None:
-        base = IntPolynomial((-2, 0, 0, 1))
+    base = IntPolynomial((-2, 0, 0, 1))
     base_roots = find_roots(base)
     base_prof = size_profile(base_roots)
     prof = root_extract_profile(base_roots, n)

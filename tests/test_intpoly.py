@@ -478,8 +478,9 @@ def test_discriminant_reference_values():
 
 
 def test_discriminant_degree_guard():
-    with pytest.raises(ValueError, match="discriminant undefined"):
-        discriminant(P("x-1"))
+    # a linear polynomial has no root pairs: the resultant gives lc/lc = 1
+    assert discriminant(P("x-1")) == 1
+    assert discriminant(P("3x+2")) == 1
     with pytest.raises(ValueError, match="discriminant undefined"):
         discriminant(P("5"))
 
@@ -971,23 +972,24 @@ def test_totally_real_irreducible_rejects_repeated_roots():
     assert is_irreducible_of_signature(P("x^6+x^2-1"), 2)
 
 
-def test_signature_test_builds_one_sturm_chain(monkeypatch):
-    # the Sturm count proves p squarefree, so is_irreducible's own chain
-    # (its squarefree test) is not built again
-    builds = []
-    original = intpoly._sturm_chain
+def test_signature_test_decides_through_is_irreducible(monkeypatch):
+    # the Sturm count is a gate in front of is_irreducible, the one
+    # irreducibility decision, which runs exactly when the count matches
+    calls = []
+    original = intpoly.is_irreducible
 
-    def spy(p):
-        builds.append(p)
-        return original(p)
+    def spy(p, return_witness=False):
+        calls.append(p)
+        return original(p, return_witness)
 
-    monkeypatch.setattr(intpoly, "_sturm_chain", spy)
-    for text, s, expected in [
-        ("x^3-x-1", 1, True),  # irreducible
-        ("x^3-2x^2-x+2", 3, False),  # (x-2)(x-1)(x+1)
-        ("x^3-x^2-x-2", 1, False),  # (x-2)(x^2+x+1)
-        ("2x^3-2x-2", 1, True),  # content 2
+    monkeypatch.setattr(intpoly, "is_irreducible", spy)
+    for text, s, expected, count_matches in [
+        ("x^3-x-1", 1, True, True),  # irreducible
+        ("x^3-2x^2-x+2", 3, False, True),  # (x-2)(x-1)(x+1)
+        ("x^3-x^2-x-2", 1, False, True),  # (x-2)(x^2+x+1)
+        ("2x^3-2x-2", 1, True, True),  # content 2
+        ("x^3-x-1", 3, False, False),  # one real root, not three
     ]:
-        builds.clear()
+        calls.clear()
         assert is_irreducible_of_signature(P(text), s) is expected, text
-        assert len(builds) == 1, text
+        assert calls == ([P(text)] if count_matches else []), text

@@ -146,7 +146,6 @@ def test_criterion_rejects_degenerate_denominator():
     from minklat.measures import SizeProfile
 
     fake = SizeProfile(
-        polynomial=P("x^3+x-1"),
         signature=(1, 1),
         R=0.4,
         C=0.9,
@@ -250,7 +249,6 @@ def test_root_extract_signature_and_norm():
     assert ep.signature == (1, 7)  # (s1, (n-1)s1/2 + n t1)
     assert ep.degree == 15
     assert ep.norm_abs == 2
-    assert ep.polynomial == P("x^15-2")
     assert ep.mahler == pytest.approx(2.0, rel=1e-12)
 
 

@@ -24,7 +24,7 @@ from minklat.intpoly import (
     sturm_real_count,
 )
 from minklat.measures import m_lower_bound_signature
-from minklat import search
+from minklat import intpoly, search
 from search_oracle import coefficient_bounds, raw_box, raw_box_search
 from minklat.search import (
     FLOOR_MARGIN,
@@ -278,6 +278,25 @@ def test_search_counters_degree5(search_report_5):
         "passed_irreducibility": 11,
         "passed_m": 22,
     }
+
+
+@pytest.mark.parametrize("n, calls, irreducible", [(3, 2, 2), (4, 2, 2), (5, 17, 11)])
+def test_search_decides_irreducibility_through_is_irreducible(
+    monkeypatch, n, calls, irreducible
+):
+    # every survivor whose Sturm count matches reaches is_irreducible, and
+    # its True verdicts are the search's passed_irreducibility count
+    verdicts = []
+    original = intpoly.is_irreducible
+
+    def spy(p, return_witness=False):
+        verdicts.append(original(p, return_witness))
+        return verdicts[-1]
+
+    monkeypatch.setattr(intpoly, "is_irreducible", spy)
+    report = enumerate_m_lt_one(n)
+    assert len(verdicts) == calls
+    assert verdicts.count(True) == irreducible == report.stats["passed_irreducibility"]
 
 
 @pytest.mark.slow
